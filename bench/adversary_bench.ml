@@ -14,22 +14,17 @@
      requests).
 
    Both are deterministic simulated quantities — byte-identical across
-   seeds, hosts and interpreter modes — so the committed
-   BENCH_ADVERSARY.json pins them exactly, the same way the golden
-   tests do.  [Perf.check_against] is one-sided (fails when a value
-   drops below the committed floor), which here reads as "the runtime
-   defences must not silently change": any behavioural drift also
-   trips the test/test_faults goldens, and a drop in damage or latency
-   forces the baseline to be re-pinned deliberately.
+   seeds, hosts and interpreter modes — so they are [Sim] rows and the
+   committed BENCH_ADVERSARY.json pins them exactly, the same way the
+   golden tests do: a latency or damage change in either direction
+   fails --check.
 
-   The suite's own gate is stricter than the --check: it exits
-   non-zero if any adversary goes undetected (no detection latency) or
-   uncontained (the scenario's containing isolation level never
-   engaged) — the acceptance bar of the adversary plane. *)
+   The suite's own invariants hold with or without --check: every
+   adversary must be detected and contained, and extra runs (--repeat)
+   must replay byte-identically. *)
 
-module Perf = Guillotine_bench_perf.Perf
-module Table = Guillotine_util.Table
 module Scenarios = Guillotine_faults.Scenarios
+open Harness
 
 let seed = 1
 
@@ -72,124 +67,57 @@ let run_scenario ~repeats name =
 let detected r = r.adv.Scenarios.detection_latency_s <> None
 let contained r = r.adv.Scenarios.contained_at <> None
 
-let latency_sample r =
-  let a = r.adv in
-  {
-    Perf.workload = r.name;
-    metric = "detection_latency_s";
-    value = (match a.Scenarios.detection_latency_s with
-             | Some l -> l
-             | None -> -1.0);
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail =
-      Printf.sprintf
-        "turn %.2fs; contained %s; verdict %s; %.2fs host for the pass"
-        a.Scenarios.hostile_turn_at
-        (match a.Scenarios.contained_at with
-         | Some c -> Printf.sprintf "+%.2fs" (c -. a.Scenarios.hostile_turn_at)
-         | None -> "never")
-        r.verdict r.host_s;
-  }
+let sim_row ~workload ~metric ~unit ~detail value =
+  row ~suite:"adversary" ~workload ~layer:"scenario" ~metric ~unit
+    ~direction:Exact ~kind:Sim ~detail value
 
-let damage_sample r =
+let scenario_rows r =
   let a = r.adv in
-  {
-    Perf.workload = r.name ^ "/damage";
-    metric = "residual_damage";
-    value = float_of_int a.Scenarios.residual_damage;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail =
-      Printf.sprintf "%d %s before containment" a.Scenarios.residual_damage
-        a.Scenarios.damage_unit;
-  }
+  [
+    sim_row ~workload:r.name ~metric:"detection_latency_s" ~unit:"sim-s"
+      (Option.value a.Scenarios.detection_latency_s ~default:(-1.0))
+      ~detail:
+        (Printf.sprintf "turn %.2fs; contained %s; verdict %s; %.2fs host for the pass"
+           a.Scenarios.hostile_turn_at
+           (match a.Scenarios.contained_at with
+            | Some c -> Printf.sprintf "+%.2fs" (c -. a.Scenarios.hostile_turn_at)
+            | None -> "never")
+           r.verdict r.host_s);
+    sim_row ~workload:r.name ~metric:"residual_damage" ~unit:a.Scenarios.damage_unit
+      (float_of_int a.Scenarios.residual_damage)
+      ~detail:"damage done between the hostile turn and containment";
+  ]
 
-let containment_sample results =
+let containment_row results =
   let n = List.length results in
   let ok = List.length (List.filter contained results) in
+  sim_row ~workload:"adversary-containment" ~metric:"contained_fraction"
+    ~unit:"fraction"
+    (float_of_int ok /. float_of_int (max n 1))
+    ~detail:
+      (Printf.sprintf "%d/%d adversaries contained; total %.3g sim-s over %.2fs host"
+         ok n
+         (List.fold_left (fun acc r -> acc +. r.sim_horizon) 0.0 results)
+         (List.fold_left (fun acc r -> acc +. r.host_s) 0.0 results))
+
+let invariant_failures r =
+  List.filter_map
+    (fun (holds, what) -> if holds then None else Some (r.name ^ " " ^ what))
+    [
+      (detected r, "went undetected");
+      (contained r, "was never contained");
+      (r.replays_identical, "replays diverged");
+    ]
+
+let suite =
   {
-    Perf.workload = "adversary-containment";
-    metric = "contained_fraction";
-    value = float_of_int ok /. float_of_int (max n 1);
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail =
-      Printf.sprintf
-        "%d/%d adversaries contained; total %.3g sim-s over %.2fs host" ok n
-        (List.fold_left (fun acc r -> acc +. r.sim_horizon) 0.0 results)
-        (List.fold_left (fun acc r -> acc +. r.host_s) 0.0 results);
+    name = "adversary";
+    title = "A-adversary: detection latency and residual damage";
+    workloads = Scenarios.adversaries;
+    run =
+      (fun ~quick ~repeat workloads ->
+        let repeats = if quick then 1 else max 1 repeat in
+        let results = List.map (run_scenario ~repeats) workloads in
+        ( List.concat_map scenario_rows results @ [ containment_row results ],
+          List.concat_map invariant_failures results ));
   }
-
-let print_table samples =
-  let t =
-    Table.create ~title:"A-adversary: detection latency and residual damage"
-      ~columns:
-        [
-          ("workload", Table.Left);
-          ("metric", Table.Left);
-          ("value", Table.Right);
-          ("detail", Table.Left);
-        ]
-  in
-  List.iter
-    (fun (s : Perf.sample) ->
-      Table.add_row t
-        [ s.Perf.workload; s.Perf.metric;
-          Printf.sprintf "%.4g" s.Perf.value; s.Perf.detail ])
-    samples;
-  Table.print t
-
-(* Runs the suite; returns an exit code.  Non-zero when an adversary
-   goes undetected or uncontained, a replay diverges, or a --check
-   regression fires. *)
-let run ?(repeats = 2) ?(quick = false) ?(json = false) ?out ?check
-    ?(tolerance = 0.30) () =
-  let repeats = if quick then 1 else max 1 repeats in
-  let results = List.map (run_scenario ~repeats) Scenarios.adversaries in
-  let samples =
-    List.concat_map (fun r -> [ latency_sample r; damage_sample r ]) results
-    @ [ containment_sample results ]
-  in
-  if json then print_string (Perf.json_of_samples samples)
-  else print_table samples;
-  (match out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Perf.json_of_samples samples);
-    close_out oc;
-    if not json then Printf.printf "wrote %s\n" path);
-  let gate_ok = ref true in
-  List.iter
-    (fun r ->
-      if not (detected r) then begin
-        gate_ok := false;
-        Printf.eprintf "adversary gate: %s went undetected\n" r.name
-      end;
-      if not (contained r) then begin
-        gate_ok := false;
-        Printf.eprintf "adversary gate: %s was never contained\n" r.name
-      end;
-      if not r.replays_identical then begin
-        gate_ok := false;
-        Printf.eprintf "adversary gate: %s replays diverged\n" r.name
-      end)
-    results;
-  let check_code =
-    match check with
-    | None -> 0
-    | Some path -> (
-      match Perf.check_against ~path ~tolerance samples with
-      | [] ->
-        Printf.printf "check against %s: ok (tolerance %.0f%%)\n" path
-          (tolerance *. 100.0);
-        0
-      | failures ->
-        List.iter (Printf.eprintf "adversary regression: %s\n") failures;
-        1)
-  in
-  if !gate_ok then check_code else 1

@@ -6,29 +6,22 @@
 
    Two kinds of number come out, and they are deliberately separated:
 
-   - {b capacity} (the gated metric): simulated scenario-seconds
-     completed in one fleet pass.  A C-cell fleet completes exactly C
-     times the simulated work of a solo cell in the same simulated
-     horizon — a deterministic property of the sharded architecture,
-     reproducible on any host.  [capacity-scaling-4v1] is gated >= 3.0
-     in CI via the committed BENCH_FLEET.json.
+   - {b capacity} (the gated rows): simulated scenario-seconds
+     completed in one fleet pass at each width, and the 4-cell/1-cell
+     ratio.  Both are deterministic simulated quantities, reproducible
+     on any host, so they are pinned exactly.
 
-   - {b host rates} (informational): wall-clock scenario runs per host
+   - {b host rates} (detail only): wall-clock scenario runs per host
      second at each width, plus the host's core count.  These say how
      much of the capacity a given host realises in wall time; they vary
-     with the machine (a single-core container realises none of it) and
-     are exempted from the regression gate for exactly that reason. *)
+     with the machine, so no gate reads them yet. *)
 
 module Fleet = Guillotine_fleet.Fleet
-module Perf = Guillotine_bench_perf.Perf
-module Table = Guillotine_util.Table
 module Scenarios = Guillotine_faults.Scenarios
+open Harness
 
 let scenario = "false-alarm-probation"
-let widths = [ 1; 2; 4 ]
-
-let scaling_workload = "capacity-scaling-4v1"
-let min_scaling = 3.0
+let widths = [ ("f-fleet-1", 1); ("f-fleet-2", 2); ("f-fleet-4", 4) ]
 
 type run_result = {
   cells : int;
@@ -53,100 +46,48 @@ let run_width ~repeats cells =
   in
   { cells; runs; sim_seconds; host_s }
 
-(* Express results as Perf samples so the JSON emitter and the --check
-   regression logic are shared with the P1 suite (and BENCH_FLEET.json
-   reads like BENCH_PERF.json).  [value] carries the gated metric:
-   simulated capacity for the per-width samples, the 4v1 ratio for the
-   scaling sample.  Host rates ride along in [detail]. *)
-let sample_of ~repeats r =
+let capacity_row ~workload ~metric ~unit ~detail value =
+  row ~suite:"fleet" ~workload ~layer:"fleet" ~metric ~unit ~direction:Exact
+    ~kind:Sim ~detail value
+
+(* Per pass (one scenario run per cell), so the value is invariant to
+   --repeat/--quick and always checkable against the committed file. *)
+let pass_row ~repeats (workload, r) =
+  capacity_row ~workload ~metric:"sim_seconds_per_pass" ~unit:"sim-s"
+    (r.sim_seconds /. float_of_int repeats)
+    ~detail:
+      (Printf.sprintf "%d cells, %d runs of %s; host %.2fs, %.3g runs/host-s"
+         r.cells r.runs scenario r.host_s
+         (float_of_int r.runs /. r.host_s))
+
+let scaling_row ~r1 ~r4 =
+  capacity_row ~workload:"capacity-scaling-4v1" ~metric:"capacity_ratio"
+    ~unit:"x"
+    (r4.sim_seconds /. r1.sim_seconds)
+    ~detail:
+      (Printf.sprintf
+         "4-cell vs 1-cell simulated capacity; host wall %.2fs vs %.2fs on %d core(s)"
+         r4.host_s r1.host_s
+         (Domain.recommended_domain_count ()))
+
+(* The 4v1 ratio row comes with any run that includes both widths. *)
+let suite =
   {
-    Perf.workload = Printf.sprintf "f-fleet-%d" r.cells;
-    metric = "sim_seconds_per_pass";
-    (* Per pass (one scenario run per cell), so the gated value is
-       invariant to --repeat/--quick and always checkable against the
-       committed baseline. *)
-    value = r.sim_seconds /. float_of_int repeats;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail =
-      Printf.sprintf
-        "%d cells, %d runs of %s; host %.2fs, %.3g runs/host-s (informational)"
-        r.cells r.runs scenario r.host_s
-        (float_of_int r.runs /. r.host_s);
+    name = "fleet";
+    title = "F-fleet: cell-fleet capacity scaling";
+    workloads = List.map fst widths;
+    run =
+      (fun ~quick ~repeat workloads ->
+        let repeats = if quick then 1 else max 1 repeat in
+        let results =
+          List.map (fun w -> (w, run_width ~repeats (List.assoc w widths))) workloads
+        in
+        let scaling =
+          match
+            (List.assoc_opt "f-fleet-1" results, List.assoc_opt "f-fleet-4" results)
+          with
+          | Some r1, Some r4 -> [ scaling_row ~r1 ~r4 ]
+          | _ -> []
+        in
+        (List.map (pass_row ~repeats) results @ scaling, []));
   }
-
-let scaling_sample ~r1 ~r4 =
-  let value = r4.sim_seconds /. r1.sim_seconds in
-  {
-    Perf.workload = scaling_workload;
-    metric = "capacity_ratio";
-    value;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail =
-      Printf.sprintf
-        "4-cell vs 1-cell simulated capacity; host wall %.2fs vs %.2fs on %d core(s)"
-        r4.host_s r1.host_s
-        (Domain.recommended_domain_count ());
-  }
-
-let print_table samples =
-  let t =
-    Table.create ~title:"F-fleet: cell-fleet capacity scaling"
-      ~columns:
-        [
-          ("workload", Table.Left);
-          ("metric", Table.Left);
-          ("value", Table.Right);
-          ("detail", Table.Left);
-        ]
-  in
-  List.iter
-    (fun (s : Perf.sample) ->
-      Table.add_row t
-        [ s.Perf.workload; s.Perf.metric;
-          Printf.sprintf "%.4g" s.Perf.value; s.Perf.detail ])
-    samples;
-  Table.print t
-
-(* Runs the suite; returns an exit code.  Non-zero when the scaling
-   gate fails or a --check regression fires. *)
-let run ?(repeats = 2) ?(quick = false) ?(json = false) ?out ?check
-    ?(tolerance = 0.30) () =
-  let repeats = if quick then 1 else repeats in
-  let results = List.map (run_width ~repeats) widths in
-  let r1 = List.find (fun r -> r.cells = 1) results in
-  let r4 = List.find (fun r -> r.cells = 4) results in
-  let samples =
-    List.map (sample_of ~repeats) results @ [ scaling_sample ~r1 ~r4 ]
-  in
-  if json then print_string (Perf.json_of_samples samples)
-  else print_table samples;
-  (match out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Perf.json_of_samples samples);
-    close_out oc;
-    if not json then Printf.printf "wrote %s\n" path);
-  let scaling = r4.sim_seconds /. r1.sim_seconds in
-  let gate_ok = scaling >= min_scaling in
-  if not gate_ok then
-    Printf.eprintf "fleet capacity gate: 4v1 scaling %.3g < %.3g\n" scaling
-      min_scaling;
-  let check_code =
-    match check with
-    | None -> 0
-    | Some path -> (
-      match Perf.check_against ~path ~tolerance samples with
-      | [] ->
-        Printf.printf "check against %s: ok (tolerance %.0f%%)\n" path
-          (tolerance *. 100.0);
-        0
-      | failures ->
-        List.iter (Printf.eprintf "fleet regression: %s\n") failures;
-        1)
-  in
-  if gate_ok then check_code else 1

@@ -30,7 +30,7 @@ let run_one id =
     true
   | None when id = "perf" ->
     print_newline ();
-    ignore (Guillotine_bench_perf.Perf.run ());
+    ignore Guillotine_bench.(Harness.main Perf.suite ());
     true
   | None ->
     Printf.eprintf "unknown experiment %S; known: %s micro perf\n" id

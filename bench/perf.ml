@@ -1,16 +1,15 @@
 (* Host-performance bench suite (P1): how fast does the simulator
    itself run on the host?
 
-   Four pinned workloads, each reduced to one throughput number:
+   Six pinned workloads, each reduced to one throughput row:
 
    - benign-guest   full-machine throughput on the benign compute loop,
                     installed through the hypervisor so the vetting CFG
-                    feeds block translation; measured twice — fast path
-                    (block-translated execution + predecode +
-                    Engine.every_batch + Machine.run_cores) vs the
-                    baseline driver (JIT and predecode off +
-                    Engine.every at quantum 1, one instruction per heap
-                    event) — and reported as a speedup.
+                    feeds block translation, driven by Engine.every_batch
+                    + Machine.run_cores; measured with block translation
+                    on and then off under that same driver, so its
+                    jit_speedup row is JIT vs interpreter and nothing
+                    else.
    - patch-loop     the invalidation price: the same hv-installed
                     compute loop, but the host patches the hot mul word
                     between runs, so every round invalidates the
@@ -19,8 +18,9 @@
    - fetch-loop     a pure control-flow guest (nops + jmp); the hot
                     fetch/execute path allocates nothing on predecode
                     hits, so this is where the words-per-instruction
-                    metric is meaningful (Int64 arithmetic necessarily
-                    boxes, which benign-guest shows).
+                    row is meaningful and gated exactly at 0 (Int64
+                    arithmetic necessarily boxes, which benign-guest
+                    would show).
    - covert-channel prime+probe on one shared hierarchy — the
                     Hierarchy/Cache access path with no core on top.
    - f-storm        the "fault-storm-failover" golden scenario, whole
@@ -36,8 +36,7 @@
 
    Simulated results are identical in every mode (the equivalence suite
    pins that); this file only measures host seconds and minor-heap
-   words.  Output is a table, or JSON (one object per line) for the
-   committed BENCH_PERF.json regression baseline checked in CI. *)
+   words. *)
 
 module Machine = Guillotine_machine.Machine
 module Core = Guillotine_microarch.Core
@@ -54,82 +53,33 @@ module Scenarios = Guillotine_faults.Scenarios
 module Vet_corpus = Guillotine_core.Vet_corpus
 module Prng = Guillotine_util.Prng
 module Bits = Guillotine_util.Bits
-module Table = Guillotine_util.Table
+open Harness
 
-type sample = {
-  workload : string;
-  metric : string;  (* instr_per_sec | cycles_per_sec | runs_per_sec *)
-  value : float;  (* fast-path throughput, best of [repeat] runs *)
-  baseline : float;  (* slow-path throughput; 0 when not applicable *)
-  speedup : float;  (* value / baseline; 0 when not applicable *)
-  alloc_words_per_instr : float;
-      (* minor words per simulated instruction on the fast path;
-         negative when not measured for this workload *)
-  detail : string;
-}
-
-let workload_names =
-  [ "benign-guest"; "patch-loop"; "fetch-loop"; "covert-channel"; "f-storm";
-    "coadmit-pair" ]
-
-(* ----------------------------- timing ------------------------------ *)
-
-(* CPU seconds; wall clocks jitter under CI load and this suite is
-   single-threaded anyway.  Sys.time's granularity is coarse (1-10ms),
-   so each timing sample accumulates calls of [f] until the window
-   exceeds [min_window_s] — otherwise a reduced-iteration (--quick) run
-   finishes inside one clock tick and its rate quantizes to noise,
-   which would make the CI --check against the committed full-run
-   numbers meaningless.  Best-of-n on the resulting rates: host-perf
-   numbers are minimum-noise, not averages. *)
-let min_window_s = 0.05
-
-let best_of ~repeat f =
-  let best = ref None in
-  for _ = 1 to max 1 repeat do
-    let t0 = Sys.time () in
-    let work = ref 0 in
-    while Sys.time () -. t0 < min_window_s do
-      work := !work + f ()
-    done;
-    let dt = max (Sys.time () -. t0) 1e-6 in
-    let rate = float_of_int !work /. dt in
-    match !best with
-    | Some (r, _, _) when r >= rate -> ()
-    | _ -> best := Some (rate, !work, dt)
-  done;
-  match !best with Some b -> b | None -> assert false
+let host_rate ~workload ~layer ~metric ~unit ?detail value =
+  row ~suite:"perf" ~workload ~layer ~metric ~unit ~direction:Higher ~kind:Host
+    ?detail value
 
 (* --------------------------- benign-guest -------------------------- *)
-
-(* Reference point measured once from a worktree at the pre-fast-path
-   commit (9eb1c7a), same harness shape (Engine.every + run_models at
-   quantum 1 over the 400k-iteration compute loop): 2.55e6 instr/s.
-   The in-tree baseline measured below is faster than that, because the
-   component-level work (hoisted TLB/cache walk loops, the MMU translate
-   memo, non-closure execute helpers) is unconditional and speeds the
-   legacy path too — so the speedup this suite reports is a lower bound
-   on the speedup over the true pre-fast-path interpreter. *)
-let prepr_benign_instr_per_sec = 2.55e6
 
 (* The machine is built once and the guest reinstalled per timed call:
    rig construction (DRAM arrays, cache ways) is setup, not the
    interpreter work this sample measures, and at --quick iteration
    counts it would otherwise dominate the window.  Installation goes
    through the hypervisor — the production path — so the vetting CFG's
-   block map reaches the core and the fast arm runs block-translated;
+   block map reaches the core and the JIT arm runs block-translated;
    the per-call reinstall keeps the (cheap) translation pass inside the
-   window, as it is in deployment. *)
+   window, as it is in deployment.  Only the JIT flag differs between
+   the arms; predecode stays as the environment set it.  --quick keeps
+   the full loop: at a twentieth of it the reinstall dominates the
+   window, and the rows would no longer measure what the committed
+   full-run rows measure. *)
 let bench_benign ~repeat ~iterations =
-  let ambient_predecode = Core.predecode_enabled () in
-  let ambient_jit = Core.jit_enabled () in
   let m = Machine.create () in
   let hv = Hypervisor.create ~machine:m () in
   let p = Asm.assemble_exn (Guest.compute_loop ~iterations) in
   let c = Machine.model_core m 0 in
-  let run ~fast () =
-    Core.set_predecode fast;
-    Core.set_jit fast;
+  let run ~jit () =
+    Core.set_jit jit;
     (match
        Hypervisor.install_program hv ~label:"benign" ~core:0 ~code_pages:4
          ~data_pages:4 p
@@ -138,37 +88,32 @@ let bench_benign ~repeat ~iterations =
     | Error _ -> invalid_arg "benign-guest: install rejected");
     let before = Core.instructions_retired c in
     let e = Engine.create () in
-    (if fast then
-       ignore
-         (Engine.every_batch e ~period:1.0 ~batch:64 (fun () ->
-              Machine.run_cores m ~cycles:4096 > 0))
-     else
-       (* The pre-fast-path driver shape: one instruction per heap
-          event. *)
-       ignore
-         (Engine.every e ~period:1.0 (fun () -> Machine.run_models m ~quantum:1 > 0)));
+    ignore
+      (Engine.every_batch e ~period:1.0 ~batch:64 (fun () ->
+           Machine.run_cores m ~cycles:4096 > 0));
     Engine.run e;
     Core.instructions_retired c - before
   in
-  let fast_rate, retired, _ = best_of ~repeat (run ~fast:true) in
-  let base_rate, _, _ = best_of ~repeat (run ~fast:false) in
-  (* Leave the process-wide flags as found — later workloads (patch-loop
-     in particular) measure under the ambient configuration. *)
-  Core.set_predecode ambient_predecode;
-  Core.set_jit ambient_jit;
-  {
-    workload = "benign-guest";
-    metric = "instr_per_sec";
-    value = fast_rate;
-    baseline = base_rate;
-    speedup = fast_rate /. base_rate;
-    alloc_words_per_instr = -1.0;
-    detail =
-      Printf.sprintf "%d instructions retired; %.1fx vs pre-fast-path commit (%.3g/s)"
-        retired
-        (fast_rate /. prepr_benign_instr_per_sec)
-        prepr_benign_instr_per_sec;
-  }
+  (* The arms alternate, so a host speed-state change between them
+     cannot fake the ratio. *)
+  let ambient = Core.jit_enabled () in
+  let jit = ref (0.0, 0, 0.0) and interp = ref (0.0, 0, 0.0) in
+  for _ = 1 to max 1 repeat do
+    jit := max !jit (best_of ~repeat:1 (run ~jit:true));
+    interp := max !interp (best_of ~repeat:1 (run ~jit:false))
+  done;
+  Core.set_jit ambient;
+  let (jit_rate, retired, _), (interp_rate, _, _) = (!jit, !interp) in
+  let layer = "jit" and workload = "benign-guest" in
+  [
+    host_rate ~workload ~layer ~metric:"instr_per_sec" ~unit:"instr/s" jit_rate
+      ~detail:(Printf.sprintf "%d instructions retired" retired);
+    host_rate ~workload ~layer ~metric:"jit_speedup" ~unit:"x"
+      (jit_rate /. interp_rate)
+      ~detail:
+        (Printf.sprintf "%.3g instr/s translated vs %.3g instr/s interpreted"
+           jit_rate interp_rate);
+  ]
 
 (* ---------------------------- patch-loop --------------------------- *)
 
@@ -218,25 +163,22 @@ let bench_patch_loop ~repeat ~rounds =
   in
   let rate, retired, _ = best_of ~repeat run in
   let js = Core.jit_stats c in
-  {
-    workload = "patch-loop";
-    metric = "instr_per_sec";
-    value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail =
-      Printf.sprintf
-        "%d instructions across patch+rerun rounds; %d invalidations, %d retranslations"
-        retired js.Guillotine_microarch.Jit.invalidations
-        js.Guillotine_microarch.Jit.translations;
-  }
+  [
+    host_rate ~workload:"patch-loop" ~layer:"jit" ~metric:"instr_per_sec"
+      ~unit:"instr/s" rate
+      ~detail:
+        (Printf.sprintf
+           "%d instructions across patch+rerun rounds; %d invalidations, %d retranslations"
+           retired js.Guillotine_microarch.Jit.invalidations
+           js.Guillotine_microarch.Jit.translations);
+  ]
 
 (* ---------------------------- fetch-loop --------------------------- *)
 
 (* Standard image layout (entry jump, zeroed vector table, code from
    word 16) with a body that never touches an Int64: nothing on the
-   fast path allocates, which Gc.minor_words verifies. *)
+   fast path allocates, which Gc.minor_words verifies.  The
+   decode-every-fetch rate is measured too, for the detail line. *)
 let fetch_loop_source =
   {|
   jmp @start
@@ -263,25 +205,28 @@ let bench_fetch_loop ~repeat ~fuel =
      steady state. *)
   ignore (Core.run core ~fuel:1024);
   let alloc = ref infinity in
-  let measure ~fast () =
-    Core.set_predecode fast;
+  let measure ~predecode () =
+    Core.set_predecode predecode;
     let w0 = Gc.minor_words () in
     let executed = Core.run core ~fuel in
     let words = Gc.minor_words () -. w0 in
-    if fast then alloc := min !alloc (words /. float_of_int executed);
+    if predecode then alloc := min !alloc (words /. float_of_int executed);
     executed
   in
-  let fast_rate, executed, _ = best_of ~repeat (measure ~fast:true) in
-  let base_rate, _, _ = best_of ~repeat (measure ~fast:false) in
-  {
-    workload = "fetch-loop";
-    metric = "instr_per_sec";
-    value = fast_rate;
-    baseline = base_rate;
-    speedup = fast_rate /. base_rate;
-    alloc_words_per_instr = !alloc;
-    detail = Printf.sprintf "%d instructions, steady state" executed;
-  }
+  let ambient = Core.predecode_enabled () in
+  let fast_rate, executed, _ = best_of ~repeat (measure ~predecode:true) in
+  let legacy_rate, _, _ = best_of ~repeat (measure ~predecode:false) in
+  Core.set_predecode ambient;
+  let workload = "fetch-loop" and layer = "predecode" in
+  [
+    host_rate ~workload ~layer ~metric:"instr_per_sec" ~unit:"instr/s" fast_rate
+      ~detail:
+        (Printf.sprintf "%d instructions, steady state; %.2fx vs decode-every-fetch"
+           executed (fast_rate /. legacy_rate));
+    row ~suite:"perf" ~workload ~layer ~metric:"alloc_words_per_instr"
+      ~unit:"words/instr" ~direction:Exact ~kind:Host !alloc
+      ~detail:"minor-heap words per instruction on predecode hits";
+  ]
 
 (* -------------------------- covert-channel ------------------------- *)
 
@@ -295,15 +240,11 @@ let bench_covert ~repeat ~bits =
     r.Covert.cycles
   in
   let rate, cycles, _ = best_of ~repeat run in
-  {
-    workload = "covert-channel";
-    metric = "cycles_per_sec";
-    value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail = Printf.sprintf "%d sim cycles, %d bits, shared L1" cycles bits;
-  }
+  [
+    host_rate ~workload:"covert-channel" ~layer:"memory" ~metric:"cycles_per_sec"
+      ~unit:"cycles/s" rate
+      ~detail:(Printf.sprintf "%d sim cycles, %d bits, shared L1" cycles bits);
+  ]
 
 (* ----------------------------- f-storm ----------------------------- *)
 
@@ -315,15 +256,11 @@ let run_fstorm ~runs () =
 
 let bench_fstorm ~repeat ~runs =
   let rate, total, dt = best_of ~repeat (run_fstorm ~runs) in
-  {
-    workload = "f-storm";
-    metric = "runs_per_sec";
-    value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail = Printf.sprintf "%d full scenario run(s) in %.2fs host" total dt;
-  }
+  [
+    host_rate ~workload:"f-storm" ~layer:"scenario" ~metric:"runs_per_sec"
+      ~unit:"runs/s" rate
+      ~detail:(Printf.sprintf "%d full scenario run(s) in %.2fs host" total dt);
+  ]
 
 (* --------------------------- coadmit-pair -------------------------- *)
 
@@ -340,112 +277,19 @@ let bench_coadmit ~repeat ~pairs =
     pairs
   in
   let rate, total, dt = best_of ~repeat run in
-  {
-    workload = "coadmit-pair";
-    metric = "pairs_per_sec";
-    value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
-    detail =
-      Printf.sprintf
-        "%d co-admissions in %.2fs host (%.0f us/pair, rejected before cycle 0; the runtime path catches the same rewrite ~0.5 sim-s after admission)"
-        total dt (1e6 /. rate);
-  }
-
-(* ------------------------------- JSON ------------------------------ *)
-
-let json_of_sample s =
-  Printf.sprintf
-    {|{"workload":"%s","metric":"%s","value":%.6g,"baseline":%.6g,"speedup":%.6g,"alloc_words_per_instr":%.6g,"detail":"%s"}|}
-    s.workload s.metric s.value s.baseline s.speedup s.alloc_words_per_instr
-    s.detail
-
-let json_of_samples samples =
-  String.concat "\n" ({|{"suite":"guillotine-bench-perf","version":1}|}
-                      :: List.map json_of_sample samples)
-  ^ "\n"
-
-(* Minimal line-oriented extraction — the emitter above is the only
-   producer, so a full JSON parser buys nothing (and none is vendored). *)
-let index_of_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then -1
-    else if String.sub s i m = sub then i
-    else go (i + 1)
-  in
-  go 0
-
-let field_raw line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let i = index_of_sub line pat in
-  let n = String.length line in
-  if i < 0 then None
-  else begin
-    let start = i + String.length pat in
-    if start >= n then None
-    else if line.[start] = '"' then begin
-      let stop = ref (start + 1) in
-      while !stop < n && line.[!stop] <> '"' do incr stop done;
-      if !stop >= n then None
-      else Some (String.sub line start (!stop + 1 - start))
-    end
-    else begin
-      let stop = ref start in
-      while !stop < n && line.[!stop] <> ',' && line.[!stop] <> '}' do incr stop done;
-      Some (String.sub line start (!stop - start))
-    end
-  end
-
-let field_string line key =
-  match field_raw line key with
-  | Some raw when String.length raw >= 2 && raw.[0] = '"' ->
-    Some (String.sub raw 1 (String.length raw - 2))
-  | _ -> None
-
-let field_float line key =
-  match field_raw line key with
-  | Some raw -> float_of_string_opt (String.trim raw)
-  | None -> None
-
-let parse_json text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         match (field_string line "workload", field_float line "value") with
-         | Some w, Some v -> Some (w, v)
-         | _ -> None)
-
-(* --------------------------- regression check ---------------------- *)
-
-let check_against ~path ~tolerance samples =
-  let committed =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    parse_json text
-  in
-  if committed = [] then [ Printf.sprintf "%s: no samples parsed" path ]
-  else
-    List.filter_map
-      (fun (workload, old_value) ->
-        match List.find_opt (fun s -> s.workload = workload) samples with
-        | None -> Some (Printf.sprintf "%s: workload missing from this run" workload)
-        | Some s ->
-          let floor = old_value *. (1.0 -. tolerance) in
-          if s.value < floor then
-            Some
-              (Printf.sprintf
-                 "%s: throughput regressed beyond %.0f%%: %.3g/s < %.3g/s (committed %.3g/s)"
-                 workload (tolerance *. 100.0) s.value floor old_value)
-          else None)
-      committed
+  [
+    host_rate ~workload:"coadmit-pair" ~layer:"vet" ~metric:"pairs_per_sec"
+      ~unit:"pairs/s" rate
+      ~detail:
+        (Printf.sprintf
+           "%d co-admissions in %.2fs host (%.0f us/pair, rejected before cycle 0; the runtime path catches the same rewrite ~0.5 sim-s after admission)"
+           total dt (1e6 /. rate));
+  ]
 
 (* ------------------------------ driver ----------------------------- *)
 
 let run_workload ~quick ~repeat = function
-  | "benign-guest" ->
-    bench_benign ~repeat ~iterations:(if quick then 20_000 else 400_000)
+  | "benign-guest" -> bench_benign ~repeat ~iterations:400_000
   | "patch-loop" -> bench_patch_loop ~repeat ~rounds:(if quick then 16 else 128)
   | "fetch-loop" -> bench_fetch_loop ~repeat ~fuel:(if quick then 100_000 else 2_000_000)
   | "covert-channel" -> bench_covert ~repeat ~bits:(if quick then 64 else 512)
@@ -453,67 +297,14 @@ let run_workload ~quick ~repeat = function
   | "coadmit-pair" -> bench_coadmit ~repeat ~pairs:(if quick then 8 else 64)
   | w -> invalid_arg (Printf.sprintf "unknown perf workload %S" w)
 
-let print_table samples =
-  let t =
-    Table.create ~title:"P1: host-perf (interpreter fast path)"
-      ~columns:
-        [
-          ("workload", Table.Left);
-          ("metric", Table.Left);
-          ("fast", Table.Right);
-          ("baseline", Table.Right);
-          ("speedup", Table.Right);
-          ("alloc w/instr", Table.Right);
-          ("detail", Table.Left);
-        ]
-  in
-  List.iter
-    (fun s ->
-      Table.add_row t
-        [
-          s.workload;
-          s.metric;
-          Printf.sprintf "%.3g/s" s.value;
-          (if s.baseline > 0.0 then Printf.sprintf "%.3g/s" s.baseline else "-");
-          (if s.speedup > 0.0 then Printf.sprintf "%.1fx" s.speedup else "-");
-          (if s.alloc_words_per_instr >= 0.0 then
-             Printf.sprintf "%.3f" s.alloc_words_per_instr
-           else "-");
-          s.detail;
-        ])
-    samples;
-  Table.print t
-
-(* Runs the suite; returns an exit code (non-zero when a [check]
-   regression fired).  Restores the process-wide predecode and JIT
-   flags. *)
-let run ?(workloads = workload_names) ?(repeat = 3) ?(quick = false) ?(json = false)
-    ?out ?check ?(tolerance = 0.30) () =
-  let initial_predecode = Core.predecode_enabled () in
-  let initial_jit = Core.jit_enabled () in
-  let samples =
-    Fun.protect
-      ~finally:(fun () ->
-        Core.set_predecode initial_predecode;
-        Core.set_jit initial_jit)
-      (fun () -> List.map (run_workload ~quick ~repeat) workloads)
-  in
-  if json then print_string (json_of_samples samples) else print_table samples;
-  (match out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (json_of_samples samples);
-    close_out oc;
-    if not json then Printf.printf "wrote %s\n" path);
-  match check with
-  | None -> 0
-  | Some path -> (
-    match check_against ~path ~tolerance samples with
-    | [] ->
-      Printf.printf "check against %s: ok (tolerance %.0f%%)\n" path
-        (tolerance *. 100.0);
-      0
-    | failures ->
-      List.iter (Printf.eprintf "perf regression: %s\n") failures;
-      1)
+let suite =
+  {
+    name = "perf";
+    title = "P1: host-perf (guest execution tiers, memory, scenario, vet)";
+    workloads =
+      [ "benign-guest"; "patch-loop"; "fetch-loop"; "covert-channel"; "f-storm";
+        "coadmit-pair" ];
+    run =
+      (fun ~quick ~repeat workloads ->
+        (List.concat_map (run_workload ~quick ~repeat) workloads, []));
+  }

@@ -16,14 +16,12 @@
                  byte-identical to the bare run, and the armed run must
                  actually collect a profile.
 
-   Gates (exit status 1):
-   - any non-zero simulated delta or scenario divergence;
+   Invariants (exit status 1 with or without --check):
+   - any non-zero simulated delta or scenario divergence (also pinned
+     as an exact [sim_delta] row at 0);
    - profiler overhead above [max_overhead_frac] on benign-p1;
-   - an armed run that collects an empty profile;
-   - a --check regression beyond tolerance against BENCH_PROFILE.json.
-
-   The JSON/--check machinery mirrors bench/perf.ml: one object per
-   line, committed as BENCH_PROFILE.json, compared on [value]. *)
+   - an armed run that collects an empty profile (also pinned as an
+     exact [profiled_blocks] row). *)
 
 module Machine = Guillotine_machine.Machine
 module Core = Guillotine_microarch.Core
@@ -32,44 +30,24 @@ module Guest = Guillotine_model.Guest_programs
 module Engine = Guillotine_sim.Engine
 module Scenarios = Guillotine_faults.Scenarios
 module Profile = Guillotine_obs.Profile
-module Table = Guillotine_util.Table
-
-type sample = {
-  workload : string;
-  metric : string;  (* instr_per_sec | runs_per_sec *)
-  value : float;  (* profiler-ON throughput, best of [repeat] runs *)
-  baseline : float;  (* profiler-OFF throughput *)
-  overhead_frac : float;  (* 1 - value/baseline *)
-  sim_delta : int;  (* simulated cycles+instructions delta; must be 0 *)
-  detail : string;
-}
-
-let workload_names = [ "benign-p1"; "adversary-sprint" ]
+open Harness
 
 (* The hard gate on profiler cost: arming attribution may not slow the
    benign P1 workload by more than this fraction. *)
 let max_overhead_frac = 0.05
 
-(* Same windowed best-of timing as bench/perf.ml (see the rationale
-   there): accumulate work until the CPU-time window is wide enough to
-   measure, keep the minimum-noise rate. *)
-let min_window_s = 0.05
+type result = {
+  workload : string;
+  metric : string;  (* instr_per_sec | runs_per_sec *)
+  unit : string;
+  on_rate : float;  (* profiler-ON throughput, best of [repeat] runs *)
+  off_rate : float;  (* profiler-OFF throughput *)
+  sim_delta : int;  (* simulated cycles+instructions delta; must be 0 *)
+  blocks : int;  (* blocks the armed run attributed cycles to *)
+  detail : string;
+}
 
-let best_of ~repeat f =
-  let best = ref None in
-  for _ = 1 to max 1 repeat do
-    let t0 = Sys.time () in
-    let work = ref 0 in
-    while Sys.time () -. t0 < min_window_s do
-      work := !work + f ()
-    done;
-    let dt = max (Sys.time () -. t0) 1e-6 in
-    let rate = float_of_int !work /. dt in
-    match !best with
-    | Some (r, _, _) when r >= rate -> ()
-    | _ -> best := Some (rate, !work, dt)
-  done;
-  match !best with Some b -> b | None -> assert false
+let overhead r = 1.0 -. (r.on_rate /. r.off_rate)
 
 (* ---------------------------- benign-p1 ---------------------------- *)
 
@@ -99,8 +77,14 @@ let bench_benign ~repeat ~iterations =
   let sim_delta =
     abs (prof_cycles - bare_cycles) + abs (prof_retired - bare_retired)
   in
-  let profile_empty =
-    Array.for_all (fun v -> v = 0) (Core.profile_cycles prof_core)
+  let blocks =
+    Profile.make
+      [
+        Profile.guest ~core:0 ~label:"benign" ~leaders:(Core.profile_leaders prof_core)
+          ~cycles:(Core.profile_cycles prof_core)
+          ~retired:(Core.profile_retired prof_core);
+      ]
+    |> Profile.hot_blocks |> List.length
   in
   (* Timing reuses one machine (reinstall per call): warm simulated
      state is fine here — both modes see it and only host time is
@@ -133,14 +117,14 @@ let bench_benign ~repeat ~iterations =
   {
     workload = "benign-p1";
     metric = "instr_per_sec";
-    value = on_rate;
-    baseline = off_rate;
-    overhead_frac = 1.0 -. (on_rate /. off_rate);
+    unit = "instr/s";
+    on_rate;
+    off_rate;
     sim_delta;
+    blocks;
     detail =
-      Printf.sprintf "%d instructions retired; %d sim cycles both modes%s"
-        retired prof_cycles
-        (if profile_empty then "; EMPTY PROFILE" else "");
+      Printf.sprintf "%d instructions retired; %d sim cycles both modes" retired
+        prof_cycles;
   }
 
 (* ------------------------- adversary-sprint ------------------------ *)
@@ -156,10 +140,10 @@ let bench_adversary ~repeat =
     || bare.Scenarios.verdict <> prof.Scenarios.verdict
     || bare.Scenarios.recoveries <> prof.Scenarios.recoveries
   in
-  let profile_empty =
+  let blocks =
     match prof.Scenarios.profile with
-    | None -> true
-    | Some p -> Profile.total_cycles p = 0
+    | None -> 0
+    | Some p -> List.length (Profile.hot_blocks p)
   in
   let timed ~profiled () =
     ignore (Scenarios.run scenario ~seed:1 ~profile:profiled);
@@ -170,62 +154,15 @@ let bench_adversary ~repeat =
   {
     workload = "adversary-sprint";
     metric = "runs_per_sec";
-    value = on_rate;
-    baseline = off_rate;
-    overhead_frac = 1.0 -. (on_rate /. off_rate);
+    unit = "runs/s";
+    on_rate;
+    off_rate;
     sim_delta = (if diverged then 1 else 0);
+    blocks;
     detail =
-      Printf.sprintf "%d full %s run(s); profiled replay %s%s" runs scenario
-        (if diverged then "DIVERGED" else "byte-identical")
-        (if profile_empty then "; EMPTY PROFILE" else "");
+      Printf.sprintf "%d full %s run(s); profiled replay %s" runs scenario
+        (if diverged then "diverged" else "byte-identical");
   }
-
-(* ------------------------------- JSON ------------------------------ *)
-
-let json_of_sample s =
-  Printf.sprintf
-    {|{"workload":"%s","metric":"%s","value":%.6g,"baseline":%.6g,"overhead_frac":%.6g,"sim_delta":%d,"detail":"%s"}|}
-    s.workload s.metric s.value s.baseline s.overhead_frac s.sim_delta s.detail
-
-let json_of_samples samples =
-  String.concat "\n" ({|{"suite":"guillotine-bench-profile","version":1}|}
-                      :: List.map json_of_sample samples)
-  ^ "\n"
-
-let parse_json text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         match
-           ( Guillotine_bench_perf.Perf.field_string line "workload",
-             Guillotine_bench_perf.Perf.field_float line "value" )
-         with
-         | Some w, Some v -> Some (w, v)
-         | _ -> None)
-
-let check_against ~path ~tolerance samples =
-  let committed =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    parse_json text
-  in
-  if committed = [] then [ Printf.sprintf "%s: no samples parsed" path ]
-  else
-    List.filter_map
-      (fun (workload, old_value) ->
-        match List.find_opt (fun s -> s.workload = workload) samples with
-        | None ->
-          Some (Printf.sprintf "%s: workload missing from this run" workload)
-        | Some s ->
-          let floor = old_value *. (1.0 -. tolerance) in
-          if s.value < floor then
-            Some
-              (Printf.sprintf
-                 "%s: profiled throughput regressed beyond %.0f%%: %.3g/s < %.3g/s (committed %.3g/s)"
-                 workload (tolerance *. 100.0) s.value floor old_value)
-          else None)
-      committed
 
 (* ------------------------------ driver ----------------------------- *)
 
@@ -235,77 +172,39 @@ let run_workload ~quick ~repeat = function
   | "adversary-sprint" -> bench_adversary ~repeat:(if quick then 1 else repeat)
   | w -> invalid_arg (Printf.sprintf "unknown profile workload %S" w)
 
-let print_table samples =
-  let t =
-    Table.create ~title:"PROF1: cycle-attribution profiler overhead"
-      ~columns:
-        [
-          ("workload", Table.Left);
-          ("metric", Table.Left);
-          ("profiled", Table.Right);
-          ("bare", Table.Right);
-          ("overhead", Table.Right);
-          ("sim delta", Table.Right);
-          ("detail", Table.Left);
-        ]
-  in
-  List.iter
-    (fun s ->
-      Table.add_row t
-        [
-          s.workload;
-          s.metric;
-          Printf.sprintf "%.3g/s" s.value;
-          Printf.sprintf "%.3g/s" s.baseline;
-          Printf.sprintf "%.1f%%" (s.overhead_frac *. 100.0);
-          string_of_int s.sim_delta;
-          s.detail;
-        ])
-    samples;
-  Table.print t
+let rows r =
+  let row = row ~suite:"profile" ~workload:r.workload ~layer:"profiler" in
+  [
+    row ~metric:r.metric ~unit:r.unit ~direction:Higher ~kind:Host r.on_rate
+      ~detail:
+        (Printf.sprintf "profiled; bare %.3g %s, overhead %.1f%%; %s" r.off_rate
+           r.unit (overhead r *. 100.0) r.detail);
+    row ~metric:"sim_delta" ~unit:"cycles+instr" ~direction:Exact ~kind:Sim
+      (float_of_int r.sim_delta)
+      ~detail:"simulated difference between the bare and profiled runs";
+    row ~metric:"profiled_blocks" ~unit:"blocks" ~direction:Exact ~kind:Sim
+      (float_of_int r.blocks)
+      ~detail:"blocks the armed run attributed cycles to";
+  ]
 
-let run ?(workloads = workload_names) ?(repeat = 3) ?(quick = false)
-    ?(json = false) ?out ?check ?(tolerance = 0.30) () =
-  let samples = List.map (run_workload ~quick ~repeat) workloads in
-  if json then print_string (json_of_samples samples) else print_table samples;
-  (match out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (json_of_samples samples);
-    close_out oc;
-    if not json then Printf.printf "wrote %s\n" path);
-  let gate_failures =
-    List.concat_map
-      (fun s ->
-        (if s.sim_delta <> 0 then
-           [ Printf.sprintf "%s: simulated state perturbed (delta %d)"
-               s.workload s.sim_delta ]
-         else [])
-        @
-        (if s.workload = "benign-p1" && s.overhead_frac > max_overhead_frac
-         then
-           [ Printf.sprintf "%s: profiler overhead %.1f%% exceeds %.0f%% gate"
-               s.workload (s.overhead_frac *. 100.0)
-               (max_overhead_frac *. 100.0) ]
-         else [])
-        @
-        if String.length s.detail >= 13
-           && String.sub s.detail (String.length s.detail - 13) 13
-              = "EMPTY PROFILE"
-        then [ Printf.sprintf "%s: armed run collected no profile" s.workload ]
-        else [])
-      samples
-  in
-  List.iter (Printf.eprintf "profile gate: %s\n") gate_failures;
-  let check_failures =
-    match check with
-    | None -> []
-    | Some path -> check_against ~path ~tolerance samples
-  in
-  (match (check, check_failures) with
-  | Some path, [] ->
-    Printf.printf "check against %s: ok (tolerance %.0f%%)\n" path
-      (tolerance *. 100.0)
-  | _ -> List.iter (Printf.eprintf "profile regression: %s\n") check_failures);
-  if gate_failures = [] && check_failures = [] then 0 else 1
+let invariant_failures r =
+  (if r.sim_delta <> 0 then
+     [ Printf.sprintf "%s: simulated state perturbed (delta %d)" r.workload r.sim_delta ]
+   else [])
+  @ (if r.workload = "benign-p1" && overhead r > max_overhead_frac then
+       [ Printf.sprintf "%s: profiler overhead %.1f%% exceeds %.0f%% gate" r.workload
+           (overhead r *. 100.0) (max_overhead_frac *. 100.0) ]
+     else [])
+  @
+  if r.blocks = 0 then [ r.workload ^ ": armed run collected no profile" ] else []
+
+let suite =
+  {
+    name = "profile";
+    title = "PROF1: cycle-attribution profiler overhead";
+    workloads = [ "benign-p1"; "adversary-sprint" ];
+    run =
+      (fun ~quick ~repeat workloads ->
+        let results = List.map (run_workload ~quick ~repeat) workloads in
+        (List.concat_map rows results, List.concat_map invariant_failures results));
+  }

@@ -15,10 +15,10 @@
                       --coadmit checks guest *sets* for cross-guest interference
      fleet            run a fleet of cells sharded across OCaml domains
      profile          cycle-attribution profile of a scenario or corpus guest
-     bench perf       host-perf suite (P1): interpreter throughput + allocation
-     bench fleet      capacity-scaling suite (F): fleet width vs throughput
-     bench adversary  adversary suite (A): detection latency + residual damage
-     bench profile    profiler suite (PROF1): overhead gate + sim-cycle equality
+     bench SUITE      bench suites with a --check against BENCH_*.json:
+                      perf (P1 host throughput), fleet (capacity scaling),
+                      adversary (detection latency + residual damage),
+                      profile (PROF1 profiler overhead + sim-cycle equality)
      demo             containment walkthrough (same story as the example)
 
    Try:  dune exec bin/guillotine.exe -- attacks *)
@@ -1125,205 +1125,71 @@ let profile_cmd =
 (* ------------------------------ bench ----------------------------- *)
 
 let bench_cmd =
-  let module Perf = Guillotine_bench_perf.Perf in
-  let perf_cmd =
-    let run list_workloads workloads repeat quick json out check tolerance =
-      if list_workloads then
-        List.iter print_endline Perf.workload_names
-      else begin
-        let workloads =
-          match workloads with [] -> Perf.workload_names | ws -> ws
-        in
-        List.iter
-          (fun w ->
-            if not (List.mem w Perf.workload_names) then begin
-              Printf.eprintf "unknown workload %S (try --list)\n" w;
-              exit 2
-            end)
-          workloads;
-        exit (Perf.run ~workloads ~repeat ~quick ~json ?out ?check ~tolerance ())
-      end
-    in
-    let list_workloads =
-      Arg.(value & flag & info [ "list" ] ~doc:"List the pinned workloads.")
-    in
-    let workloads =
-      Arg.(value & opt_all string []
-           & info [ "workload" ] ~docv:"NAME"
-               ~doc:"Run only this workload (repeatable; default: all).")
-    in
-    let repeat =
-      Arg.(value & opt int 3
-           & info [ "repeat" ] ~docv:"N" ~doc:"Best-of-N timing runs.")
-    in
-    let quick =
-      Arg.(value & flag
-           & info [ "quick" ] ~doc:"Reduced iteration counts (CI smoke).")
-    in
-    let json =
-      Arg.(value & flag
-           & info [ "json" ] ~doc:"Emit JSON (one object per line) on stdout.")
-    in
-    let out =
-      Arg.(value & opt (some string) None
-           & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Also write the JSON here.")
-    in
-    let check =
-      Arg.(value & opt (some file) None
-           & info [ "check" ] ~docv:"FILE"
-               ~doc:"Fail if throughput regressed beyond --tolerance against \
-                     this committed JSON (e.g. BENCH_PERF.json).")
-    in
-    let tolerance =
-      Arg.(value & opt float 0.30
-           & info [ "tolerance" ] ~docv:"F"
-               ~doc:"Allowed fractional regression for --check (default 0.30).")
-    in
-    Cmd.v
-      (Cmd.info "perf"
-         ~doc:
-           "Run the P1 host-perf suite: interpreter throughput \
-            (fast path vs the GUILLOTINE_NO_PREDECODE=1 quantum-1 baseline), \
-            per-instruction minor-heap allocation, covert-channel and \
-            fault-storm end-to-end rates.  Simulated results are identical \
-            in every mode; only host time varies.")
-      Term.(const run $ list_workloads $ workloads $ repeat $ quick $ json
-            $ out $ check $ tolerance)
+  let module Harness = Guillotine_bench.Harness in
+  let suites =
+    Guillotine_bench.
+      [ Perf.suite; Fleet_bench.suite; Adversary_bench.suite; Profile_bench.suite ]
   in
-  let fleet_cmd =
-    let module Fleet_bench = Guillotine_bench_fleet.Fleet_bench in
-    let run repeats quick json out check tolerance =
-      exit (Fleet_bench.run ~repeats ~quick ~json ?out ?check ~tolerance ())
-    in
-    let repeats =
-      Arg.(value & opt int 2
-           & info [ "repeat" ] ~docv:"N"
-               ~doc:"Scenario runs per cell at each fleet width.")
-    in
-    let quick =
-      Arg.(value & flag
-           & info [ "quick" ] ~doc:"Single run per cell (CI smoke).")
-    in
-    let json =
-      Arg.(value & flag
-           & info [ "json" ] ~doc:"Emit JSON (one object per line) on stdout.")
-    in
-    let out =
-      Arg.(value & opt (some string) None
-           & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Also write the JSON here.")
-    in
-    let check =
-      Arg.(value & opt (some file) None
-           & info [ "check" ] ~docv:"FILE"
-               ~doc:"Fail if capacity regressed beyond --tolerance against \
-                     this committed JSON (e.g. BENCH_FLEET.json).")
-    in
-    let tolerance =
-      Arg.(value & opt float 0.30
-           & info [ "tolerance" ] ~docv:"F"
-               ~doc:"Allowed fractional regression for --check (default 0.30).")
-    in
-    Cmd.v
-      (Cmd.info "fleet"
-         ~doc:
-           "Run the F-fleet capacity-scaling suite: the golden fault \
-            scenario fanned across 1-, 2- and 4-cell fleets, one OCaml \
-            domain per cell.  The gated metric is deterministic simulated \
-            capacity per fleet pass (exit status 1 if 4-cell capacity is \
-            below 3x solo); host wall-clock rates are reported but not \
-            gated, since they depend on the machine's core count.")
-      Term.(const run $ repeats $ quick $ json $ out $ check $ tolerance)
+  let run (suite : Harness.suite) list_workloads workloads repeat quick json out
+      check =
+    if list_workloads then List.iter print_endline suite.Harness.workloads
+    else
+      let workloads = match workloads with [] -> None | ws -> Some ws in
+      exit (Harness.main suite ?workloads ~repeat ~quick ~json ?out ?check ())
   in
-  let adversary_cmd =
-    let module Adversary_bench = Guillotine_bench_adversary.Adversary_bench in
-    let run repeats quick json out check tolerance =
-      exit (Adversary_bench.run ~repeats ~quick ~json ?out ?check ~tolerance ())
-    in
-    let repeats =
-      Arg.(value & opt int 2
-           & info [ "repeat" ] ~docv:"N"
-               ~doc:"Runs per scenario; extras re-check byte-identical replay.")
-    in
-    let quick =
-      Arg.(value & flag
-           & info [ "quick" ] ~doc:"Single run per scenario (CI smoke).")
-    in
-    let json =
-      Arg.(value & flag
-           & info [ "json" ] ~doc:"Emit JSON (one object per line) on stdout.")
-    in
-    let out =
-      Arg.(value & opt (some string) None
-           & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Also write the JSON here.")
-    in
-    let check =
-      Arg.(value & opt (some file) None
-           & info [ "check" ] ~docv:"FILE"
-               ~doc:"Fail if a metric drifted beyond --tolerance against \
-                     this committed JSON (e.g. BENCH_ADVERSARY.json).")
-    in
-    let tolerance =
-      Arg.(value & opt float 0.30
-           & info [ "tolerance" ] ~docv:"F"
-               ~doc:"Allowed fractional drift for --check (default 0.30).")
-    in
-    Cmd.v
-      (Cmd.info "adversary"
-         ~doc:
-           "Run the A-adversary suite: every post-admission adversary \
-            scenario (TOCTOU self-patching, shared-window rewrites, the \
-            install race, and the kill-switch evaders), reporting detection \
-            latency and residual damage for each.  Both metrics are \
-            deterministic simulated quantities pinned by \
-            BENCH_ADVERSARY.json; exit status 1 if any adversary goes \
-            undetected or uncontained.")
-      Term.(const run $ repeats $ quick $ json $ out $ check $ tolerance)
+  let suite =
+    Arg.(required
+         & pos 0 (some (enum (List.map (fun s -> (s.Harness.name, s)) suites))) None
+         & info [] ~docv:"SUITE"
+             ~doc:
+               (String.concat "; "
+                  (List.map (fun s -> s.Harness.name ^ ": " ^ s.Harness.title) suites)))
   in
-  let profile_bench_cmd =
-    let module Profile_bench = Guillotine_bench_profile.Profile_bench in
-    let run repeat quick json out check tolerance =
-      exit (Profile_bench.run ~repeat ~quick ~json ?out ?check ~tolerance ())
-    in
-    let repeat =
-      Arg.(value & opt int 3
-           & info [ "repeat" ] ~docv:"N" ~doc:"Best-of-N timing runs.")
-    in
-    let quick =
-      Arg.(value & flag
-           & info [ "quick" ] ~doc:"Reduced iteration counts (CI smoke).")
-    in
-    let json =
-      Arg.(value & flag
-           & info [ "json" ] ~doc:"Emit JSON (one object per line) on stdout.")
-    in
-    let out =
-      Arg.(value & opt (some string) None
-           & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Also write the JSON here.")
-    in
-    let check =
-      Arg.(value & opt (some file) None
-           & info [ "check" ] ~docv:"FILE"
-               ~doc:"Fail if profiled throughput regressed beyond --tolerance \
-                     against this committed JSON (e.g. BENCH_PROFILE.json).")
-    in
-    let tolerance =
-      Arg.(value & opt float 0.30
-           & info [ "tolerance" ] ~docv:"F"
-               ~doc:"Allowed fractional regression for --check (default 0.30).")
-    in
-    Cmd.v
-      (Cmd.info "profile"
-         ~doc:
-           "Run the PROF1 profiler suite: the benign P1 workload and the \
-            fault-storm scenario, each measured profiler-off vs profiler-on. \
-            Gates (exit 1): any simulated cycle/telemetry delta between the \
-            two modes, profiler overhead above 5% on the benign workload, an \
-            armed run that collects no profile, or a --check regression.")
-      Term.(const run $ repeat $ quick $ json $ out $ check $ tolerance)
+  let list_workloads =
+    Arg.(value & flag & info [ "list" ] ~doc:"List the suite's workloads.")
   in
-  Cmd.group
-    (Cmd.info "bench" ~doc:"Host-performance bench suites.")
-    [ perf_cmd; fleet_cmd; adversary_cmd; profile_bench_cmd ]
+  let workloads =
+    Arg.(value & opt_all string []
+         & info [ "workload" ] ~docv:"NAME"
+             ~doc:"Run only this workload (repeatable; default: all).")
+  in
+  let repeat =
+    Arg.(value & opt int 3
+         & info [ "repeat" ] ~docv:"N"
+             ~doc:"Runs per workload: best-of-N for host timings, replay \
+                   re-checks for scenarios, passes per cell for the fleet.")
+  in
+  let quick =
+    Arg.(value & flag
+         & info [ "quick" ] ~doc:"Reduced iteration counts (CI smoke).")
+  in
+  let json =
+    Arg.(value & flag
+         & info [ "json" ] ~doc:"Emit JSON (one row object per line) on stdout.")
+  in
+  let out =
+    Arg.(value & opt (some string) None
+         & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Also write the JSON here.")
+  in
+  let pct = Printf.sprintf "%.0f%%" (Harness.tolerance *. 100.0) in
+  let check =
+    Arg.(value & opt (some file) None
+         & info [ "check" ] ~docv:"FILE"
+             ~doc:("Fail if a row moved against this committed JSON (e.g. \
+                    BENCH_PERF.json): simulated and exact rows must be \
+                    equal, host rows may move at most " ^ pct
+                   ^ " in their worse direction."))
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Run a bench suite and print its rows.  Every row is a simulated \
+          quantity or a host measurement; see --check for how each may \
+          move.  Exit status 1 if a suite invariant fails (an undetected \
+          adversary, profiler overhead above 5%, a simulated delta between \
+          modes) or a --check regression fires.")
+    Term.(const run $ suite $ list_workloads $ workloads $ repeat $ quick $ json
+          $ out $ check)
 
 (* ------------------------------- demo ----------------------------- *)
 
