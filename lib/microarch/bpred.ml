@@ -12,8 +12,6 @@ let create ?(entries = 1024) ?(mispredict_penalty = 12) () =
 
 let index t pc = pc land (Array.length t.counters - 1)
 
-let predict t ~pc = t.counters.(index t pc) >= 2
-
 let predict_and_update t ~pc ~taken =
   let i = index t pc in
   let predicted = t.counters.(i) >= 2 in

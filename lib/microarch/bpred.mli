@@ -14,10 +14,10 @@ type t = {
   mutable correct : int;
   mutable wrong : int;
 }
-(** Exposed for the core's translated branch ops, which inline
-    {!predict} + {!predict_and_update} with the PC index baked in.  The
-    inline must keep cost, counter training, and the correct/wrong
-    stats exactly as the two-call sequence would. *)
+(** Exposed for [Core.branch], which reads and trains the counter once
+    to learn both the prediction and the outcome.  It must keep cost,
+    counter training, and the correct/wrong stats exactly as
+    {!predict_and_update} would. *)
 
 val create : ?entries:int -> ?mispredict_penalty:int -> unit -> t
 (** Defaults: 1024 entries, 12-cycle penalty. *)
@@ -25,10 +25,6 @@ val create : ?entries:int -> ?mispredict_penalty:int -> unit -> t
 val predict_and_update : t -> pc:int -> taken:bool -> int
 (** Returns the cycle cost of the branch: 1 if predicted correctly,
     [1 + mispredict_penalty] otherwise; then trains the counter. *)
-
-val predict : t -> pc:int -> bool
-(** Current prediction without training (probe affordance for the
-    side-channel experiments). *)
 
 val reset : t -> unit
 (** Clear all counters to weakly-not-taken. *)

@@ -148,6 +148,7 @@ type t = {
   pd_gen : int array;
   pd_word : int64 array;
   pd_instr : Isa.instr array;
+  pd_op : (t -> unit) array; (* [compile pd_instr.(slot)], built on fill *)
   mutable pd_hits : int;
   mutable pd_fills : int;
   (* Profiling plane.  [prof_block_of.(pc) = block id] for every pc of
@@ -189,12 +190,12 @@ and jit_state = {
 
 and jit_block = {
   jb_leader : int;
-  jb_pcs : int array;     (* contiguous: jb_pcs.(i+1) = jb_pcs.(i) + 1 *)
   jb_words : int64 array; (* the words each op was compiled from *)
-  jb_fcs : jit_fc array;
-  jb_ops : (t -> bool) array;
-      (* Execute phase only (fetch/validate live in the runner); returns
-         true iff control fell through to the next sequential pc. *)
+  jb_fcs : jit_fc array;  (* contiguous: f_pc of entry i+1 = f_pc of entry i + 1 *)
+  jb_instrs : Isa.instr array;
+  jb_ops : (t -> unit) array;
+      (* [compile jb_instrs.(i)]: the execute phase only; fetch and
+         revalidation live in the runner. *)
   jb_has_irq : bool;
       (* Block contains an [Irq] doorbell: its sink can queue an
          interrupt mid-block, so the runner must re-check exit
@@ -238,6 +239,7 @@ let create ~id ~kind ~hierarchy ?tlb ?bpred ?mmu () =
     pd_gen = Array.make pd_slots 0;
     pd_word = Array.make pd_slots 0L;
     pd_instr = Array.make pd_slots Isa.Nop;
+    pd_op = Array.make pd_slots ignore;
     pd_hits = 0;
     pd_fills = 0;
     prof_on = !profile_default_flag;
@@ -554,156 +556,189 @@ let watch_data_hit t vaddr =
     else true
   else false
 
-(* Per-instruction helpers live at top level: defining them inside
-   [execute] would allocate their closures on every call, and [execute]
-   is the allocation-free hot path. *)
+(* Per-instruction helpers live at top level so the compiled ops close
+   over their operands only, never over helper closures. *)
 let next t = t.pc <- t.pc + 1
 
-let alu3 t rd a b f =
-  Array.unsafe_set t.regs rd (f (reg_value t a) (reg_value t b));
-  t.cycles <- t.cycles + 1;
+let[@inline] alu t rd v cost =
+  Array.unsafe_set t.regs rd v;
+  t.cycles <- t.cycles + cost;
   next t
 
-let branch t rs1 rs2 target cmp =
-  let taken = cmp (reg_value t rs1) (reg_value t rs2) in
-  let predicted = Bpred.predict t.bpred ~pc:t.pc in
-  t.cycles <- t.cycles + Bpred.predict_and_update t.bpred ~pc:t.pc ~taken;
-  (* On a mispredict the frontend has already run down the predicted
-     path; replay that window transiently before the squash. *)
-  if predicted <> taken && t.spec_depth > 0 then begin
-    let wrong_path = if predicted then target else t.pc + 1 in
-    transient_walk t ~start_pc:wrong_path
+(* Resolve a conditional branch at [t.pc].  The predictor counter is
+   read and trained once, with the cost, training and correct/wrong
+   stats {!Bpred.predict_and_update} would give.  On a mispredict the
+   frontend has already run down the predicted path; replay that window
+   transiently before the squash. *)
+let branch t target taken =
+  let pc = t.pc in
+  let bp = t.bpred in
+  let counters = bp.Bpred.counters in
+  let bi = pc land (Array.length counters - 1) in
+  let c0 = Array.unsafe_get counters bi in
+  let predicted = c0 >= 2 in
+  if predicted = taken then begin
+    bp.Bpred.correct <- bp.Bpred.correct + 1;
+    t.cycles <- t.cycles + 1
+  end
+  else begin
+    bp.Bpred.wrong <- bp.Bpred.wrong + 1;
+    t.cycles <- t.cycles + 1 + bp.Bpred.mispredict_penalty
   end;
-  if taken then t.pc <- target else next t
+  Array.unsafe_set counters bi
+    (if taken then (if c0 < 3 then c0 + 1 else 3)
+     else if c0 > 0 then c0 - 1
+     else 0);
+  if predicted <> taken && t.spec_depth > 0 then
+    transient_walk t ~start_pc:(if predicted then target else pc + 1);
+  t.pc <- (if taken then target else pc + 1)
 
-(* Execute one decoded instruction.  [t.pc] still points at it; we
-   advance pc here.  Returns unit; faults divert control flow. *)
-let execute t instr =
+(* The one copy of GRISC semantics: compile an instruction into the op
+   every dispatcher runs — the predecode cache stores it per slot, a
+   translated block per instruction, and the decode-every-fetch
+   reference builds it per fetch.  An op runs after the fetch has been
+   charged, with [t.pc] still pointing at the instruction; it advances
+   [t.pc] or diverts it (jumps, branches, [deliver_exception]).
+   Constants are boxed here, once, and nothing depends on where the
+   instruction sits, so an op can be cached by paddr. *)
+let compile instr : t -> unit =
   let open Isa in
   match instr with
   | Nop ->
-    t.cycles <- t.cycles + 1;
-    next t
-  | Halt -> t.status <- Halted Halt_instruction
-  | Movi (rd, v) ->
-    t.regs.(rd) <- Int64.of_int v;
-    t.cycles <- t.cycles + 1;
-    next t
-  | Movhi (rd, v) ->
-    t.regs.(rd) <-
-      Int64.logor t.regs.(rd) (Int64.shift_left (Int64.of_int v) 32);
-    t.cycles <- t.cycles + 1;
-    next t
-  | Mov (rd, rs) ->
-    t.regs.(rd) <- reg_value t rs;
-    t.cycles <- t.cycles + 1;
-    next t
-  | Add (rd, a, b) -> alu3 t rd a b Int64.add
-  | Sub (rd, a, b) -> alu3 t rd a b Int64.sub
-  | Mul (rd, a, b) ->
-    t.cycles <- t.cycles + 2; (* multipliers are slower *)
-    alu3 t rd a b Int64.mul
-  | Div (rd, a, b) ->
-    if reg_value t b = 0L then deliver_exception t Div_by_zero
-    else begin
-      t.cycles <- t.cycles + 10;
-      alu3 t rd a b Int64.div
-    end
-  | Rem (rd, a, b) ->
-    if reg_value t b = 0L then deliver_exception t Div_by_zero
-    else begin
-      t.cycles <- t.cycles + 10;
-      alu3 t rd a b Int64.rem
-    end
-  | And_ (rd, a, b) -> alu3 t rd a b Int64.logand
-  | Or_ (rd, a, b) -> alu3 t rd a b Int64.logor
-  | Xor_ (rd, a, b) -> alu3 t rd a b Int64.logxor
-  | Shl (rd, a, b) ->
-    alu3 t rd a b (fun x y -> Int64.shift_left x (Int64.to_int y land 63))
-  | Shr (rd, a, b) ->
-    alu3 t rd a b (fun x y -> Int64.shift_right_logical x (Int64.to_int y land 63))
-  | Load (rd, rs, off) ->
-    let vaddr = Int64.to_int (reg_value t rs) + off in
-    if watch_data_hit t vaddr then t.status <- Halted (Watchpoint vaddr)
-    else begin
-      let paddr = translate_data t ~vaddr ~access:`R in
-      if paddr >= 0 then begin
-        t.regs.(rd) <- Hierarchy.read_value t.hierarchy ~addr:paddr;
-        let cost = Hierarchy.read_cost t.hierarchy in
-        t.cycles <- t.cycles + cost;
-        if t.prof_on then t.prof_mem <- t.prof_mem + cost;
-        next t
-      end
-    end
-  | Store (rd, rs, off) ->
-    let vaddr = Int64.to_int (reg_value t rd) + off in
-    if watch_data_hit t vaddr then t.status <- Halted (Watchpoint vaddr)
-    else begin
-      let paddr = translate_data t ~vaddr ~access:`W in
-      if paddr >= 0 then begin
-        let cost = Hierarchy.write t.hierarchy ~addr:paddr (reg_value t rs) in
-        t.cycles <- t.cycles + cost;
-        if t.prof_on then t.prof_mem <- t.prof_mem + cost;
-        next t
-      end
-    end
-  | Jmp a ->
-    t.cycles <- t.cycles + 1;
-    t.pc <- a
-  | Jr rs ->
-    t.cycles <- t.cycles + 1;
-    t.pc <- Int64.to_int (reg_value t rs)
-  | Jal (rd, a) ->
-    t.regs.(rd) <- Int64.of_int (t.pc + 1);
-    t.cycles <- t.cycles + 1;
-    t.pc <- a
-  | Beq (a, b, tgt) -> branch t a b tgt (fun x y -> Int64.equal x y)
-  | Bne (a, b, tgt) -> branch t a b tgt (fun x y -> not (Int64.equal x y))
-  | Blt (a, b, tgt) -> branch t a b tgt (fun x y -> Int64.compare x y < 0)
-  | Bge (a, b, tgt) -> branch t a b tgt (fun x y -> Int64.compare x y >= 0)
-  | Irq line -> (
-    match t.irq_sink with
-    | None -> deliver_exception t Bad_instruction
-    | Some sink ->
-      t.cycles <- t.cycles + 5;
-      if t.prof_on then t.prof_door <- t.prof_door + 5;
-      sink ~line;
-      next t)
-  | Iret ->
-    if not t.in_handler then deliver_exception t Bad_instruction
-    else begin
-      t.in_handler <- false;
-      t.cycles <- t.cycles + 2;
-      t.pc <- t.epc
-    end
-  | Rdcycle rd ->
-    t.regs.(rd) <- Int64.of_int t.cycles;
-    t.cycles <- t.cycles + 1;
-    next t
-  | Mfepc rd ->
-    (* Only meaningful inside a handler, but harmless elsewhere. *)
-    t.regs.(rd) <- Int64.of_int t.epc;
-    t.cycles <- t.cycles + 1;
-    next t
-  | Mtepc rs ->
-    if not t.in_handler then deliver_exception t Bad_instruction
-    else begin
-      t.epc <- Int64.to_int (reg_value t rs);
+    fun t ->
       t.cycles <- t.cycles + 1;
       next t
-    end
+  | Halt -> fun t -> t.status <- Halted Halt_instruction
+  | Movi (rd, v) ->
+    let v = Int64.of_int v in
+    fun t -> alu t rd v 1
+  | Movhi (rd, v) ->
+    let hi = Int64.shift_left (Int64.of_int v) 32 in
+    fun t -> alu t rd (Int64.logor (reg_value t rd) hi) 1
+  | Mov (rd, rs) -> fun t -> alu t rd (reg_value t rs) 1
+  | Add (rd, a, b) -> fun t -> alu t rd (Int64.add (reg_value t a) (reg_value t b)) 1
+  | Sub (rd, a, b) -> fun t -> alu t rd (Int64.sub (reg_value t a) (reg_value t b)) 1
+  | Mul (rd, a, b) ->
+    (* multipliers are slower: 2 cycles on top of the ALU's 1 *)
+    fun t -> alu t rd (Int64.mul (reg_value t a) (reg_value t b)) 3
+  | Div (rd, a, b) ->
+    (* the divider: 10 cycles on top of the ALU's 1 *)
+    fun t ->
+      let d = reg_value t b in
+      if Int64.equal d 0L then deliver_exception t Div_by_zero
+      else alu t rd (Int64.div (reg_value t a) d) 11
+  | Rem (rd, a, b) ->
+    fun t ->
+      let d = reg_value t b in
+      if Int64.equal d 0L then deliver_exception t Div_by_zero
+      else alu t rd (Int64.rem (reg_value t a) d) 11
+  | And_ (rd, a, b) ->
+    fun t -> alu t rd (Int64.logand (reg_value t a) (reg_value t b)) 1
+  | Or_ (rd, a, b) -> fun t -> alu t rd (Int64.logor (reg_value t a) (reg_value t b)) 1
+  | Xor_ (rd, a, b) ->
+    fun t -> alu t rd (Int64.logxor (reg_value t a) (reg_value t b)) 1
+  | Shl (rd, a, b) ->
+    fun t ->
+      alu t rd
+        (Int64.shift_left (reg_value t a) (Int64.to_int (reg_value t b) land 63))
+        1
+  | Shr (rd, a, b) ->
+    fun t ->
+      alu t rd
+        (Int64.shift_right_logical (reg_value t a)
+           (Int64.to_int (reg_value t b) land 63))
+        1
+  | Load (rd, rs, off) ->
+    fun t ->
+      let vaddr = Int64.to_int (reg_value t rs) + off in
+      if watch_data_hit t vaddr then t.status <- Halted (Watchpoint vaddr)
+      else begin
+        let paddr = translate_data t ~vaddr ~access:`R in
+        if paddr >= 0 then begin
+          Array.unsafe_set t.regs rd (Hierarchy.read_value t.hierarchy ~addr:paddr);
+          let cost = Hierarchy.read_cost t.hierarchy in
+          t.cycles <- t.cycles + cost;
+          if t.prof_on then t.prof_mem <- t.prof_mem + cost;
+          next t
+        end
+      end
+  | Store (rd, rs, off) ->
+    fun t ->
+      let vaddr = Int64.to_int (reg_value t rd) + off in
+      if watch_data_hit t vaddr then t.status <- Halted (Watchpoint vaddr)
+      else begin
+        let paddr = translate_data t ~vaddr ~access:`W in
+        if paddr >= 0 then begin
+          let cost = Hierarchy.write t.hierarchy ~addr:paddr (reg_value t rs) in
+          t.cycles <- t.cycles + cost;
+          if t.prof_on then t.prof_mem <- t.prof_mem + cost;
+          next t
+        end
+      end
+  | Jmp a ->
+    fun t ->
+      t.cycles <- t.cycles + 1;
+      t.pc <- a
+  | Jr rs ->
+    fun t ->
+      t.cycles <- t.cycles + 1;
+      t.pc <- Int64.to_int (reg_value t rs)
+  | Jal (rd, a) ->
+    fun t ->
+      Array.unsafe_set t.regs rd (Int64.of_int (t.pc + 1));
+      t.cycles <- t.cycles + 1;
+      t.pc <- a
+  | Beq (a, b, tgt) ->
+    fun t -> branch t tgt (Int64.equal (reg_value t a) (reg_value t b))
+  | Bne (a, b, tgt) ->
+    fun t -> branch t tgt (not (Int64.equal (reg_value t a) (reg_value t b)))
+  | Blt (a, b, tgt) ->
+    fun t -> branch t tgt (Int64.compare (reg_value t a) (reg_value t b) < 0)
+  | Bge (a, b, tgt) ->
+    fun t -> branch t tgt (Int64.compare (reg_value t a) (reg_value t b) >= 0)
+  | Irq line ->
+    fun t -> (
+      match t.irq_sink with
+      | None -> deliver_exception t Bad_instruction
+      | Some sink ->
+        t.cycles <- t.cycles + 5;
+        if t.prof_on then t.prof_door <- t.prof_door + 5;
+        sink ~line;
+        next t)
+  | Iret ->
+    fun t ->
+      if not t.in_handler then deliver_exception t Bad_instruction
+      else begin
+        t.in_handler <- false;
+        t.cycles <- t.cycles + 2;
+        t.pc <- t.epc
+      end
+  | Rdcycle rd -> fun t -> alu t rd (Int64.of_int t.cycles) 1
+  | Mfepc rd ->
+    (* Only meaningful inside a handler, but harmless elsewhere. *)
+    fun t -> alu t rd (Int64.of_int t.epc) 1
+  | Mtepc rs ->
+    fun t ->
+      if not t.in_handler then deliver_exception t Bad_instruction
+      else begin
+        t.epc <- Int64.to_int (reg_value t rs);
+        t.cycles <- t.cycles + 1;
+        next t
+      end
   | Clflush (rs, off) ->
-    let vaddr = Int64.to_int (reg_value t rs) + off in
-    let paddr = translate_data t ~vaddr ~access:`R in
-    if paddr >= 0 then begin
-      Hierarchy.flush_line t.hierarchy ~addr:paddr;
-      t.cycles <- t.cycles + 20;
-      if t.prof_on then t.prof_mem <- t.prof_mem + 20;
-      next t
-    end
+    fun t ->
+      let vaddr = Int64.to_int (reg_value t rs) + off in
+      let paddr = translate_data t ~vaddr ~access:`R in
+      if paddr >= 0 then begin
+        Hierarchy.flush_line t.hierarchy ~addr:paddr;
+        t.cycles <- t.cycles + 20;
+        if t.prof_on then t.prof_mem <- t.prof_mem + 20;
+        next t
+      end
   | Fence ->
-    t.cycles <- t.cycles + 15;
-    next t
+    fun t ->
+      t.cycles <- t.cycles + 15;
+      next t
 
 let code_watch_hit t =
   (* [Hashtbl.length] is a field read: with no watchpoints armed (the
@@ -718,12 +753,22 @@ let code_watch_hit t =
     else true
   else false
 
-(* Execute a decoded instruction and account its retirement.  Shared by
-   the predecode hit and miss paths. *)
-let execute_and_retire t instr =
+(* A top-level loop, not [List.iter] over a local closure: a function
+   that defines a closure cannot be inlined, and [run_and_retire] is
+   inlined into every dispatcher. *)
+let rec call_retire_hooks hooks pc instr =
+  match hooks with
+  | [] -> ()
+  | hook :: rest ->
+    hook ~pc instr;
+    call_retire_hooks rest pc instr
+
+(* Run the compiled [op] of [instr] and account its retirement: the one
+   retire path of every dispatcher. *)
+let[@inline] run_and_retire t op instr =
   let retired_pc = t.pc in
   t.trapped <- false;
-  execute t instr;
+  op t;
   (* A trapping instruction does not retire: it neither counts nor
      reaches the trace port (its handler's instructions will). *)
   if not t.trapped then begin
@@ -732,7 +777,23 @@ let execute_and_retire t instr =
       t.prof_retired.(t.prof_block) <- t.prof_retired.(t.prof_block) + 1;
     match t.retire_hooks with
     | [] -> ()
-    | hooks -> List.iter (fun hook -> hook ~pc:retired_pc instr) hooks
+    | hooks -> call_retire_hooks hooks retired_pc instr
+  end
+
+(* Profiling preamble of every fetch, interpreted or translated: on a
+   block transition, bank the finished residency and point at the block
+   owning [pc], the pc about to be fetched.  Interrupt and exception
+   dispatch charge their vector-read cost before the pc lands here, so
+   dispatch cycles are attributed to the interrupted (or faulting)
+   block — the block that incurred them. *)
+let prof_enter t pc =
+  let b =
+    if pc >= 0 && pc < Array.length t.prof_block_of then t.prof_block_of.(pc)
+    else t.prof_nblocks
+  in
+  if b <> t.prof_block then begin
+    prof_flush t;
+    t.prof_block <- b
   end
 
 (* Predecode lookup for the word just fetched from [paddr].  A slot hits
@@ -771,26 +832,29 @@ let fetch_and_execute_fast t =
     let slot = paddr land pd_mask in
     let gen = Hierarchy.write_generation t.hierarchy in
     if predecode_hit t slot paddr word gen then begin
-      (* Hot path: zero allocation — no decode, no option, no tuple. *)
+      (* Hot path: zero allocation — no decode, no compile, no option. *)
       t.pd_hits <- t.pd_hits + 1;
-      execute_and_retire t t.pd_instr.(slot)
+      run_and_retire t t.pd_op.(slot) t.pd_instr.(slot)
     end
     else begin
       match Encoding.decode word with
       | None -> deliver_exception t Isa.Bad_instruction
       | Some instr ->
+        let op = compile instr in
         t.pd_paddr.(slot) <- paddr;
         t.pd_gen.(slot) <- gen;
         t.pd_word.(slot) <- word;
         t.pd_instr.(slot) <- instr;
+        t.pd_op.(slot) <- op;
         t.pd_fills <- t.pd_fills + 1;
-        execute_and_retire t instr
+        run_and_retire t op instr
     end
   end
 
-(* The pre-fast-path interpreter, preserved byte-for-byte in shape:
+(* The pre-fast-path interpreter, preserved in shape:
    option/result-returning translate, tuple-returning [Hierarchy.read],
-   [Encoding.decode] every fetch.  GUILLOTINE_NO_PREDECODE selects it;
+   [Encoding.decode] and [compile] every fetch.  GUILLOTINE_NO_PREDECODE
+   selects it;
    it is the reference implementation the equivalence suite compares the
    fast path against and the baseline the P1 host-perf numbers are
    measured from.  It also keeps the allocating wrapper APIs exercised. *)
@@ -807,28 +871,13 @@ let fetch_and_execute_legacy t =
     if t.prof_on then t.prof_fetch <- t.prof_fetch + cost;
     match Encoding.decode word with
     | None -> deliver_exception t Isa.Bad_instruction
-    | Some instr -> execute_and_retire t instr)
+    | Some instr -> run_and_retire t (compile instr) instr)
 
 let fetch_and_execute t =
   (* Code watchpoint: trap before fetch. *)
   if code_watch_hit t then t.status <- Halted (Watchpoint t.pc)
   else begin
-    (* On a block transition, bank the finished residency and point at
-       the block owning the pc about to be fetched.  Interrupt and
-       exception dispatch charge their vector-read cost before the pc
-       lands here, so dispatch cycles are attributed to the interrupted
-       (or faulting) block — the block that incurred them. *)
-    if t.prof_on then begin
-      let b =
-        if t.pc >= 0 && t.pc < Array.length t.prof_block_of then
-          t.prof_block_of.(t.pc)
-        else t.prof_nblocks
-      in
-      if b <> t.prof_block then begin
-        prof_flush t;
-        t.prof_block <- b
-      end
-    end;
+    if t.prof_on then prof_enter t t.pc;
     if !predecode_enabled_flag then fetch_and_execute_fast t
     else fetch_and_execute_legacy t
   end
@@ -868,15 +917,16 @@ let step t =
 (* The predecode cache (above) killed the decode cost; what is left of
    the dispatch overhead is paid once per *instruction*: the step loop,
    the status/timer/irq checks, the full TLB scan, the MMU walk, the
-   L1 way scan, the instruction match.  The translation plane kills
-   that too.  At [Hypervisor.install_program] time the vet layer's CFG
-   recovery hands over a block plan ({!Jit.plan}); each basic block is
-   compiled into an array of closures — one per instruction, operands
-   unpacked, static next-pc and constants pre-boxed — and executed back
-   to back by [jit_run_block] with a single dispatch per block entry.
+   L1 way scan.  The translation plane kills that too.  At
+   [Hypervisor.install_program] time the vet layer's CFG recovery hands
+   over a block plan ({!Jit.plan}); each basic block keeps the ops
+   [compile] built for its instructions — the very ops the interpreter
+   runs, so there is one semantics and two dispatchers — and
+   [jit_run_block] runs them back to back with a single dispatch per
+   block entry.
 
    The contract is the same as the predecode cache's, only stricter
-   because more is inlined: translated execution is simulated-state
+   because the fetch is inlined: translated execution is simulated-state
    invisible.  Per instruction the runner still takes a TLB lookup, an
    MMU translation, a hierarchy fetch and the word-level revalidation —
    each either via the original function or via a hint probe that
@@ -907,28 +957,6 @@ let jit_fc_make t pc =
     f_tag = 0;
     f_way = 0;
   }
-
-(* Per-instruction block-transition bookkeeping, identical to the
-   profiling preamble in [fetch_and_execute]. *)
-let jit_prof_enter t pc =
-  let b =
-    if pc >= 0 && pc < Array.length t.prof_block_of then t.prof_block_of.(pc)
-    else t.prof_nblocks
-  in
-  if b <> t.prof_block then begin
-    prof_flush t;
-    t.prof_block <- b
-  end
-
-(* Retirement accounting, identical to the tail of [execute_and_retire]
-   (the callers only reach this when the instruction did not trap). *)
-let jit_retire t pc instr =
-  t.instret <- t.instret + 1;
-  if t.prof_on then
-    t.prof_retired.(t.prof_block) <- t.prof_retired.(t.prof_block) + 1;
-  match t.retire_hooks with
-  | [] -> ()
-  | hooks -> List.iter (fun hook -> hook ~pc:pc instr) hooks
 
 (* Fetch the word at a translated site, charging exactly what
    [fetch_and_execute_fast] charges before its decode step: TLB lookup
@@ -1036,323 +1064,7 @@ let jit_diverge t jb word =
   t.jit_invalidations <- t.jit_invalidations + 1;
   match Encoding.decode word with
   | None -> deliver_exception t Isa.Bad_instruction
-  | Some instr -> execute_and_retire t instr
-
-(* Branch resolution with the predictor index baked in; state movement
-   and cost identical to [branch] (predict + predict_and_update). *)
-let jit_branch t pc target instr taken =
-  let bp = t.bpred in
-  let counters = bp.Bpred.counters in
-  let bi = pc land (Array.length counters - 1) in
-  let c0 = Array.unsafe_get counters bi in
-  let predicted = c0 >= 2 in
-  if predicted = taken then begin
-    bp.Bpred.correct <- bp.Bpred.correct + 1;
-    t.cycles <- t.cycles + 1
-  end
-  else begin
-    bp.Bpred.wrong <- bp.Bpred.wrong + 1;
-    t.cycles <- t.cycles + 1 + bp.Bpred.mispredict_penalty
-  end;
-  Array.unsafe_set counters bi
-    (if taken then (if c0 < 3 then c0 + 1 else 3)
-     else if c0 > 0 then c0 - 1
-     else 0);
-  if predicted <> taken && t.spec_depth > 0 then
-    transient_walk t ~start_pc:(if predicted then target else pc + 1);
-  if taken then t.pc <- target else t.pc <- pc + 1;
-  jit_retire t pc instr;
-  false
-
-(* Compile the execute phase of one instruction.  The closure runs after
-   the runner has fetched and revalidated the word, with fetch costs
-   already charged — so each arm mirrors the corresponding [execute] arm
-   plus the retire tail, with operands, next-pc and constant boxes
-   resolved at compile time.  Register indices are 4-bit fields, in
-   bounds by construction (see [reg_value]). *)
-let jit_compile_exec pc instr =
-  let pc1 = pc + 1 in
-  let open Isa in
-  match instr with
-  | Nop ->
-    fun t ->
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Halt ->
-    fun t ->
-      t.status <- Halted Halt_instruction;
-      jit_retire t pc instr;
-      false
-  | Movi (rd, v) ->
-    let v64 = Int64.of_int v in
-    fun t ->
-      Array.unsafe_set t.regs rd v64;
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Movhi (rd, v) ->
-    let hi = Int64.shift_left (Int64.of_int v) 32 in
-    fun t ->
-      Array.unsafe_set t.regs rd (Int64.logor (Array.unsafe_get t.regs rd) hi);
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Mov (rd, rs) ->
-    fun t ->
-      Array.unsafe_set t.regs rd (Array.unsafe_get t.regs rs);
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Add (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.add (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Sub (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.sub (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Mul (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.mul (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 3; (* 2 for the multiplier + 1 from alu3 *)
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Div (rd, a, b) ->
-    fun t ->
-      let bv = Array.unsafe_get t.regs b in
-      if Int64.equal bv 0L then begin
-        deliver_exception t Div_by_zero;
-        false
-      end
-      else begin
-        Array.unsafe_set t.regs rd (Int64.div (Array.unsafe_get t.regs a) bv);
-        t.cycles <- t.cycles + 11; (* 10 for the divider + 1 from alu3 *)
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true
-      end
-  | Rem (rd, a, b) ->
-    fun t ->
-      let bv = Array.unsafe_get t.regs b in
-      if Int64.equal bv 0L then begin
-        deliver_exception t Div_by_zero;
-        false
-      end
-      else begin
-        Array.unsafe_set t.regs rd (Int64.rem (Array.unsafe_get t.regs a) bv);
-        t.cycles <- t.cycles + 11;
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true
-      end
-  | And_ (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logand (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Or_ (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Xor_ (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logxor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Shl (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.shift_left (Array.unsafe_get t.regs a)
-           (Int64.to_int (Array.unsafe_get t.regs b) land 63));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Shr (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.shift_right_logical (Array.unsafe_get t.regs a)
-           (Int64.to_int (Array.unsafe_get t.regs b) land 63));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Load (rd, rs, off) ->
-    fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rs) + off in
-      if watch_data_hit t vaddr then begin
-        t.status <- Halted (Watchpoint vaddr);
-        jit_retire t pc instr;
-        false
-      end
-      else begin
-        let paddr = translate_data t ~vaddr ~access:`R in
-        if paddr >= 0 then begin
-          t.regs.(rd) <- Hierarchy.read_value t.hierarchy ~addr:paddr;
-          let cost = Hierarchy.read_cost t.hierarchy in
-          t.cycles <- t.cycles + cost;
-          if t.prof_on then t.prof_mem <- t.prof_mem + cost;
-          t.pc <- pc1;
-          jit_retire t pc instr;
-          true
-        end
-        else false (* page fault delivered: no retire *)
-      end
-  | Store (rd, rs, off) ->
-    fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rd) + off in
-      if watch_data_hit t vaddr then begin
-        t.status <- Halted (Watchpoint vaddr);
-        jit_retire t pc instr;
-        false
-      end
-      else begin
-        let paddr = translate_data t ~vaddr ~access:`W in
-        if paddr >= 0 then begin
-          let cost =
-            Hierarchy.write t.hierarchy ~addr:paddr (Array.unsafe_get t.regs rs)
-          in
-          t.cycles <- t.cycles + cost;
-          if t.prof_on then t.prof_mem <- t.prof_mem + cost;
-          t.pc <- pc1;
-          jit_retire t pc instr;
-          true
-        end
-        else false
-      end
-  | Jmp a ->
-    fun t ->
-      t.cycles <- t.cycles + 1;
-      t.pc <- a;
-      jit_retire t pc instr;
-      false
-  | Jr rs ->
-    fun t ->
-      t.cycles <- t.cycles + 1;
-      t.pc <- Int64.to_int (Array.unsafe_get t.regs rs);
-      jit_retire t pc instr;
-      false
-  | Jal (rd, a) ->
-    let link = Int64.of_int (pc + 1) in
-    fun t ->
-      Array.unsafe_set t.regs rd link;
-      t.cycles <- t.cycles + 1;
-      t.pc <- a;
-      jit_retire t pc instr;
-      false
-  | Beq (a, b, tgt) ->
-    fun t ->
-      jit_branch t pc tgt instr
-        (Int64.equal (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b))
-  | Bne (a, b, tgt) ->
-    fun t ->
-      jit_branch t pc tgt instr
-        (not (Int64.equal (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b)))
-  | Blt (a, b, tgt) ->
-    fun t ->
-      jit_branch t pc tgt instr
-        (Int64.compare (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b) < 0)
-  | Bge (a, b, tgt) ->
-    fun t ->
-      jit_branch t pc tgt instr
-        (Int64.compare (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b) >= 0)
-  | Irq line ->
-    fun t -> (
-      match t.irq_sink with
-      | None ->
-        deliver_exception t Bad_instruction;
-        false
-      | Some sink ->
-        t.cycles <- t.cycles + 5;
-        if t.prof_on then t.prof_door <- t.prof_door + 5;
-        sink ~line;
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true)
-  | Iret ->
-    fun t ->
-      if not t.in_handler then begin
-        deliver_exception t Bad_instruction;
-        false
-      end
-      else begin
-        t.in_handler <- false;
-        t.cycles <- t.cycles + 2;
-        t.pc <- t.epc;
-        jit_retire t pc instr;
-        false
-      end
-  | Rdcycle rd ->
-    fun t ->
-      t.regs.(rd) <- Int64.of_int t.cycles;
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Mfepc rd ->
-    fun t ->
-      t.regs.(rd) <- Int64.of_int t.epc;
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Mtepc rs ->
-    fun t ->
-      if not t.in_handler then begin
-        deliver_exception t Bad_instruction;
-        false
-      end
-      else begin
-        t.epc <- Int64.to_int (Array.unsafe_get t.regs rs);
-        t.cycles <- t.cycles + 1;
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true
-      end
-  | Clflush (rs, off) ->
-    fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rs) + off in
-      let paddr = translate_data t ~vaddr ~access:`R in
-      if paddr >= 0 then begin
-        Hierarchy.flush_line t.hierarchy ~addr:paddr;
-        t.cycles <- t.cycles + 20;
-        if t.prof_on then t.prof_mem <- t.prof_mem + 20;
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true
-      end
-      else false
-  | Fence ->
-    fun t ->
-      t.cycles <- t.cycles + 15;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
+  | Some instr -> run_and_retire t (compile instr) instr
 
 (* Compile block [b] from the words currently in DRAM.  Host-side only:
    reads go straight to DRAM (no cache, TLB or cycle movement) and the
@@ -1368,8 +1080,8 @@ let jit_translate_block t js b =
     let n = Array.length pcs in
     let dram = t.hierarchy.Hierarchy.dram in
     let dram_size = Dram.size dram in
-    let words = Array.make (max n 1) 0L in
-    let instrs = Array.make (max n 1) Isa.Nop in
+    let words = Array.make n 0L in
+    let instrs = Array.make n Isa.Nop in
     let ok = ref (n > 0) in
     let i = ref 0 in
     while !ok && !i < n do
@@ -1401,10 +1113,10 @@ let jit_translate_block t js b =
       let jb =
         {
           jb_leader = pcs.(0);
-          jb_pcs = pcs;
           jb_words = words;
           jb_fcs = Array.map (fun pc -> jit_fc_make t pc) pcs;
-          jb_ops = Array.mapi (fun i pc -> jit_compile_exec pc instrs.(i)) pcs;
+          jb_instrs = instrs;
+          jb_ops = Array.map compile instrs;
           jb_has_irq =
             Array.exists
               (fun instr -> match instr with Isa.Irq _ -> true | _ -> false)
@@ -1423,21 +1135,24 @@ let jit_translate_block t js b =
    pending interrupt, no code watchpoints).  Per instruction: re-check
    the exit conditions (an op's irq sink or retire hook can arm them
    mid-block), profile block transition, fetch + revalidate the word,
-   then the compiled execute phase.  A back-edge to our own leader
-   re-enters without a dispatch round trip.  Returns retired step
-   count.
+   then the compiled op and its retirement.  Control stays in the block
+   while the op left the core Running, untrapped, at the next
+   sequential pc — whether it fell through or jumped there; a back-edge
+   to our own leader re-enters without a dispatch round trip; anything
+   else exits.  Returns retired step count.
 
-   The only instruction-level escapes from straight-line execution that
-   do NOT exit via an op returning false are an irq-sink call (the
-   [Irq] op falls through after ringing the doorbell, and the next
-   instruction must first deliver the now-pending interrupt) and a
-   retire hook (which may pause the core, arm a watchpoint, raise an
+   The only instruction-level escapes from straight-line execution
+   that this rule does not catch are an irq-sink call (the [Irq] op
+   falls through after ringing the doorbell, and the next instruction
+   must first deliver the now-pending interrupt) and a retire hook
+   (which may pause the core, arm a watchpoint, raise an
    interrupt...).  When the block has no [Irq] and the core has no
    retire hooks, neither exists, so the entry-time checks the caller
    performed stay true for the whole block and the per-instruction
    guard reduces to the fuel and cycle-target compares. *)
 let jit_run_block t jb ~fuel ~target =
   let ops = jb.jb_ops in
+  let instrs = jb.jb_instrs in
   let fcs = jb.jb_fcs in
   let words = jb.jb_words in
   let n = Array.length ops in
@@ -1476,7 +1191,8 @@ let jit_run_block t jb ~fuel ~target =
     else begin
       incr steps;
       let fc = Array.unsafe_get fcs !i in
-      if t.prof_on then jit_prof_enter t fc.f_pc;
+      let pc = fc.f_pc in
+      if t.prof_on then prof_enter t pc;
       t.trapped <- false;
       (* Inlined [jit_fetch] for the every-hint-valid case (TLB slot
          hit, MMU generation unchanged, cached paddr in model DRAM, L1
@@ -1531,15 +1247,18 @@ let jit_run_block t jb ~fuel ~target =
         jit_diverge t jb w;
         continue := false
       end
-      else if (Array.unsafe_get ops !i) t then begin
-        incr i;
-        if !i >= n then continue := false (* fell through to the next block *)
+      else begin
+        run_and_retire t (Array.unsafe_get ops !i) (Array.unsafe_get instrs !i);
+        let running =
+          match t.status with Running -> true | Halted _ | Powered_off -> false
+        in
+        if t.pc = pc + 1 && (not t.trapped) && running then begin
+          incr i;
+          if !i >= n then continue := false (* fell through to the next block *)
+        end
+        else if t.pc = jb.jb_leader && jb.jb_valid && running then i := 0
+        else continue := false
       end
-      else if
-        t.pc = jb.jb_leader && jb.jb_valid
-        && (match t.status with Running -> true | Halted _ | Powered_off -> false)
-      then i := 0
-      else continue := false
     end
   done;
   !steps

@@ -111,10 +111,10 @@ val predecode_stats : t -> int * int
 
     The step above predecode: at [Hypervisor.install_program] time the
     vet layer's CFG recovery supplies a basic-block plan
-    ({!Jit.plan}); each block is compiled into an array of closures —
-    one per instruction, operands and next-pc pre-resolved — and
-    executed with a single dispatch per block entry instead of per
-    instruction.  Same contract as the predecode cache, enforced the
+    ({!Jit.plan}); each block keeps one compiled op per instruction —
+    the same op the interpreter's predecode slot holds, so there is one
+    semantics and two dispatchers — and runs them with a single
+    dispatch per block entry instead of per instruction.  Same contract as the predecode cache, enforced the
     same way: translated execution is simulated-state invisible (every
     instruction still takes its TLB lookup, MMU translation, hierarchy
     fetch, and cycle charges, bit-identically), and every translated

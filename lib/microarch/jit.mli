@@ -1,10 +1,10 @@
 (** Block-translation policy for the threaded-code JIT.
 
     The hypervisor translates a guest's basic blocks (discovered by the
-    vet layer's CFG recovery at [install_program] time) into chains of
-    OCaml closures — one closure per instruction with operands
-    pre-resolved and cost classes pre-looked-up — executed back to back
-    with a single dispatch per {e block}.  This module owns the
+    vet layer's CFG recovery at [install_program] time) into arrays of
+    compiled ops — one per instruction, the same op the interpreter
+    runs from its predecode cache — executed back to back with a
+    single dispatch per {e block}.  This module owns the
     vet-neutral data the core consumes (the microarch library must not
     depend on the vet library): the block plan, the process-wide enable
     flag, the translation-cache stat shape, and the profile ranking
@@ -30,7 +30,7 @@ type plan = {
 
 type stats = {
   translations : int;
-      (** Blocks compiled to closure chains (including recompiles after
+      (** Blocks compiled to op arrays (including recompiles after
           invalidation). *)
   invalidations : int;
       (** Translations discarded because a fetched word no longer

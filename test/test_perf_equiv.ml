@@ -399,6 +399,125 @@ let test_jit_restore_then_patch () =
       Alcotest.(check bool) "translation invalidated" true (after > before);
       Alcotest.(check int64) "restored-then-patched run" 22L (Core.read_reg c 1))
 
+(* Directed regression for the block runner's fall-through rule: control
+   stays in a translated block only while the op left the core Running,
+   untrapped, at pc + 1.  The loop block holds, mid-block, a taken [beq]
+   and a [jal] that both land on pc + 1, a bne back-edge that re-enters
+   the block at its leader, and a [div] by zero whose handler resumes two
+   words on, at the next block; that block halts mid-block with a dead
+   instruction behind it.  The plan is hand-made (the CFG would end
+   blocks at each transfer) and installed on a bare core, so the run
+   needs no machine or scenario. *)
+let fallthrough_source =
+  {|
+  jmp @start
+  .zero 7
+  .word @on_div   ; vec 0: div-by-zero
+  .zero 7
+start:
+  movi r1, 3
+  movi r5, 0
+loop:
+  movi r2, 5
+  movi r3, 5
+  beq r2, r3, @after_beq   ; taken, to pc + 1
+after_beq:
+  jal r4, @after_jal       ; to pc + 1
+after_jal:
+  movi r7, 1
+  sub r1, r1, r7
+  bne r1, r5, @loop
+  div r6, r1, r5           ; traps; the handler resumes at after_div
+  movi r8, 98              ; never runs
+after_div:
+  movi r11, 7
+  halt
+  movi r8, 99              ; never runs
+on_div:
+  mfepc r9
+  movi r10, 2
+  add r9, r9, r10
+  mtepc r9
+  iret
+|}
+
+let run_fallthrough ~jit ~hooked =
+  with_jit jit (fun () ->
+      let p = Asm.assemble_exn fallthrough_source in
+      let dram = Dram.create ~size:(16 * 1024) in
+      let hierarchy = Guillotine_memory.Hierarchy.create ~dram () in
+      let c = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy () in
+      (match
+         Guillotine_memory.Mmu.map (Core.mmu c) ~vpage:0 ~frame:0
+           Guillotine_memory.Mmu.perm_rx
+       with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "map code page");
+      Dram.load_program dram p;
+      let sym = Asm.symbol p in
+      let span a b = Array.init (b - a) (fun i -> a + i) in
+      let code_end = Array.length p.Asm.words in
+      let pcs =
+        [|
+          span (sym "start") (sym "loop");
+          span (sym "loop") (sym "after_div");
+          span (sym "after_div") (sym "on_div");
+          span (sym "on_div") code_end;
+        |]
+      in
+      let leaders = Array.map (fun b -> b.(0)) pcs in
+      let block_of = Array.make code_end (Array.length pcs) in
+      Array.iteri (fun b -> Array.iter (fun pc -> block_of.(pc) <- b)) pcs;
+      Core.set_profile_blocks c ~block_of ~leaders;
+      Core.set_profiling c true;
+      let retired = ref [] in
+      if hooked then
+        Core.add_retire_hook c (fun ~pc instr -> retired := (pc, instr) :: !retired);
+      Core.install_jit c
+        { Guillotine_microarch.Jit.code_words = code_end; leaders; pcs };
+      Core.pause c;
+      Core.set_pc c (sym "start");
+      Core.resume c;
+      ignore (Core.run c ~fuel:1_000);
+      ( Format.asprintf "%a" Core.pp_status (Core.status c),
+        Core.cycles c,
+        Core.instructions_retired c,
+        Core.get_pc c,
+        List.init 16 (Core.read_reg c),
+        Array.to_list (Core.profile_cycles c),
+        Array.to_list (Core.profile_retired c),
+        List.rev_map (fun (pc, i) -> (pc, Isa.to_string i)) !retired,
+        Core.jit_stats c ))
+
+let test_jit_fallthrough () =
+  List.iter
+    (fun hooked ->
+      let what s = Printf.sprintf "%s (retire hook %b)" s hooked in
+      let status, cycles, instret, pc, regs, prof_c, prof_r, log, js =
+        run_fallthrough ~jit:true ~hooked
+      in
+      let status', cycles', instret', pc', regs', prof_c', prof_r', log', _ =
+        run_fallthrough ~jit:false ~hooked
+      in
+      Alcotest.(check string) (what "halted on halt") "halted (halt)" status;
+      Alcotest.(check int64) (what "loop ran out") 0L (List.nth regs 1);
+      Alcotest.(check int64) (what "handler resumed") 7L (List.nth regs 11);
+      Alcotest.(check int64) (what "dead instructions skipped") 0L (List.nth regs 8);
+      Alcotest.(check string) (what "status") status' status;
+      Alcotest.(check int) (what "cycles") cycles' cycles;
+      Alcotest.(check int) (what "instret") instret' instret;
+      Alcotest.(check int) (what "pc") pc' pc;
+      Alcotest.(check (list int64)) (what "registers") regs' regs;
+      Alcotest.(check (list int)) (what "profile cycles") prof_c' prof_c;
+      Alcotest.(check (list int)) (what "profile retired") prof_r' prof_r;
+      Alcotest.(check (list (pair int string))) (what "retire hook log") log' log;
+      (* Non-vacuity: the blocks were translated and actually ran. *)
+      Alcotest.(check int) (what "translations") 4
+        js.Guillotine_microarch.Jit.translations;
+      Alcotest.(check bool) (what "block exits") true
+        (js.Guillotine_microarch.Jit.block_exits > 0))
+    [ true; false ]
+
 let () =
   Alcotest.run "perf_equiv"
     [
@@ -429,5 +548,7 @@ let () =
             test_jit_dma_patch;
           Alcotest.test_case "restore then patch invalidates translation" `Quick
             test_jit_restore_then_patch;
+          Alcotest.test_case "mid-block fall-through, trap and halt" `Quick
+            test_jit_fallthrough;
         ] );
     ]
